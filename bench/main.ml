@@ -52,12 +52,29 @@ let bench_yen () =
   let g, _ = Lazy.force residential_case in
   ignore (Yen.k_shortest g ~src:0 ~dst:9 ~k:5)
 
+let cc_case =
+  lazy
+    (let g, dom = Lazy.force residential_case in
+     let routes = Multipath.routes (Multipath.find g dom ~src:0 ~dst:9) in
+     let p = Problem.make g dom ~flows:[ routes ] in
+     (p, Array.of_list (List.map (Update.path_rate g dom) routes)))
+
 let bench_cc () =
-  let g, dom = Lazy.force residential_case in
-  let routes = Multipath.routes (Multipath.find g dom ~src:0 ~dst:9) in
-  let p = Problem.make g dom ~flows:[ routes ] in
-  let x_init = Array.of_list (List.map (Update.path_rate g dom) routes) in
+  let p, x_init = Lazy.force cc_case in
   ignore (Multi_cc.solve ~x_init ~slots:500 p)
+
+(* Minor words the controller allocates per slot: a 4000- and a
+   2000-slot solve share every per-solve cost, so their difference
+   over 2000 is the per-slot allocation (the trace row alone is
+   n_flows + 1 = 2 words here). *)
+let cc_words_per_slot () =
+  let p, x_init = Lazy.force cc_case in
+  let words slots =
+    let w0 = Gc.minor_words () in
+    ignore (Sys.opaque_identity (Multi_cc.solve ~x_init ~slots p));
+    Gc.minor_words () -. w0
+  in
+  (words 4000 -. words 2000) /. 2000.0
 
 let bench_lp () =
   let g, dom = Lazy.force residential_case in
@@ -477,6 +494,10 @@ let write_sim_bench () =
             (bucket_p99 p "tiny") (bucket_p99 p "short") (bucket_p99 p "long"))
         ls.Loadsweep.points
     in
+    let cc_solve_ms =
+      1e3 *. timed_config (fun _ -> bench_cc ()) /. float_of_int bench_reps
+    in
+    let cc_words = cc_words_per_slot () in
     let oc = open_out "BENCH_sim.json" in
     Printf.fprintf oc
       "{\n\
@@ -500,6 +521,8 @@ let write_sim_bench () =
       \  \"prof_ns_per_event\": %.1f,\n\
       \  \"prof_minor_words_per_event\": %.2f,\n\
       \  \"prof_shares_pct\": {%s},\n\
+      \  \"cc_solve_500_slots_ms\": %.3f,\n\
+      \  \"cc_words_per_slot\": %.2f,\n\
       \  \"chaos_events_per_s\": %.0f,\n\
       \  \"chaos_fault_events_per_run\": %d,\n\
       \  \"sever_events_per_s\": %.0f,\n\
@@ -527,7 +550,7 @@ let write_sim_bench () =
       (!trace_events / reps) overhead_pct overhead_sampled_pct
       (!sampled_events / reps) flight_overhead_pct buffered_events_s
       prof_events_n prof_ns
-      prof_words prof_shares chaos_events_s
+      prof_words prof_shares cc_solve_ms cc_words chaos_events_s
       (!chaos_faults / reps) sever_events_s sever_flow.Chaos.detect_s
       sever_flow.Chaos.recovery_s sever_flow.Chaos.goodput_mbps
       churn_spec.Scenario.name churn_spec.Scenario.seed

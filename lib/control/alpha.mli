@@ -23,9 +23,11 @@ val create : single_path:bool -> longest_route_hops:int -> t
 val current : t -> float
 (** The α to use this slot. *)
 
-val observe : t -> float -> unit
-(** Feed the current aggregate rate (one sample per slot); may halve
-    α when the oscillation rule triggers. *)
+val observe : t -> float array -> unit
+(** Feed the current rates (one sample per slot: the aggregate rate
+    is their sum, taken left to right from [0.0]); may halve α when
+    the oscillation rule triggers. Allocates nothing, except the new
+    α when it halves. *)
 
 val fixed : float -> t
 (** A state that never adapts (for ablations and the simulation

@@ -13,44 +13,20 @@ let solve_tracked ?alpha ?(gain = 50.0) ?(slots = 2000) ?stop_tol ?x_init ?sink
     | None -> Array.make n_routes 0.0
   in
   let x_bar = Array.copy x in
-  let price = Price.create problem in
+  let n_flows = Problem.n_flows problem in
+  let flow_of = problem.Problem.flow_of in
+  let kernel = Price.create problem in
+  let q = Price.q kernel and marginal = Price.marginal kernel in
   (* Convergence tracing: per-slot Price_update for every link some
      route traverses (γ_l and the full congestion price) and
      Rate_update per flow, with the slot index as the timestamp. *)
-  let carrier_links =
-    match sink with
-    | None -> []
-    | Some _ ->
-      let n_links = Multigraph.num_links problem.Problem.g in
-      let seen = Array.make n_links false in
-      Array.iter
-        (fun (p : Paths.t) -> List.iter (fun l -> seen.(l) <- true) p.Paths.links)
-        problem.Problem.routes;
-      List.filter (fun l -> seen.(l)) (List.init n_links Fun.id)
-  in
   let emit_slot slot x =
     match sink with
     | None -> ()
     | Some s ->
       let t_s = float_of_int slot in
-      let gamma = Price.gamma price in
-      List.iter
-        (fun l ->
-          let g_sum =
-            List.fold_left
-              (fun acc i -> acc +. gamma.(i))
-              0.0
-              (Domain.domain problem.Problem.dom l)
-          in
-          Obs.Trace.emit s
-            (Obs.Trace.Price_update
-               {
-                 t = t_s;
-                 link = l;
-                 gamma = gamma.(l);
-                 price = problem.Problem.d.(l) *. g_sum;
-               }))
-        carrier_links;
+      Price.iter_route_links kernel (fun ~link ~gamma ~price ->
+          Obs.Trace.emit s (Obs.Trace.Price_update { t = t_s; link; gamma; price }));
       Array.iteri
         (fun f route_ids ->
           let rates = Array.of_list (List.map (fun r -> x.(r)) route_ids) in
@@ -58,72 +34,66 @@ let solve_tracked ?alpha ?(gain = 50.0) ?(slots = 2000) ?stop_tol ?x_init ?sink
         problem.Problem.flow_routes
   in
   let trace = Array.make slots [||] in
-  let u' = problem.Problem.utility.Utility.u' in
-  let stopped = ref None in
+  (* Control-message loss: a flow whose price/rate report for this
+     slot is lost simply keeps its current rates (both x and the
+     proximal anchor x_bar hold still), while the duals keep evolving
+     from the observed airtimes — the source reacts again on the next
+     delivered report. The per-slot verdicts are drawn once per flow,
+     in flow order, into this reused array. *)
+  let lost = Array.make n_flows false in
+  let stopped = ref (-1) in
   let t = ref 0 in
-  while !t < slots && !stopped = None do
+  while !t < slots && !stopped < 0 do
     let a = Alpha.current alpha in
-    let y = Price.airtimes price ~x in
-    Price.step_gamma ~drain:price_drain price ~y ~alpha:a;
-    let q = Price.route_costs price in
-    let flow_rate = Problem.flow_rates problem x in
-    (* Control-message loss: a flow whose price/rate report for this
-       slot is lost simply keeps its current rates (both x and the
-       proximal anchor x_bar hold still), while the duals keep
-       evolving from the observed airtimes — the source reacts again
-       on the next delivered report. *)
-    let lost =
-      match ack_loss with
-      | None -> fun _ -> false
-      | Some p ->
-        let slot = !t in
-        let memo =
-          Array.init
-            (Array.length problem.Problem.flow_routes)
-            (fun f -> p ~slot ~flow:f)
-        in
-        fun f -> memo.(f)
-    in
+    Price.step kernel ~x ~alpha:a ~drain:price_drain;
+    Price.route_costs kernel;
+    Price.marginals kernel ~x;
+    (match ack_loss with
+    | None -> ()
+    | Some p ->
+      for f = 0 to n_flows - 1 do
+        lost.(f) <- p ~slot:!t ~flow:f
+      done);
     for r = 0 to n_routes - 1 do
-      let f = problem.Problem.flow_of.(r) in
-      if not (lost f) then begin
-        let inner =
-          Float.max 0.0 (x_bar.(r) +. (gain *. (u' flow_rate.(f) -. q.(r))))
-        in
+      let f = flow_of.(r) in
+      if not lost.(f) then begin
+        let upd = x_bar.(r) +. (gain *. (marginal.(f) -. q.(r))) in
+        (* [Float.max 0.0 upd], bit for bit (NaN passes through). *)
+        let inner = if upd <= 0.0 then 0.0 else upd in
         x.(r) <- ((1.0 -. a) *. x.(r)) +. (a *. inner)
       end
     done;
     for r = 0 to n_routes - 1 do
-      if not (lost problem.Problem.flow_of.(r)) then
+      if not lost.(flow_of.(r)) then
         x_bar.(r) <- ((1.0 -. a) *. x_bar.(r)) +. (a *. x.(r))
     done;
-    let flow_rates = Problem.flow_rates problem x in
-    trace.(!t) <- flow_rates;
-    Alpha.observe alpha (Array.fold_left ( +. ) 0.0 flow_rates);
+    (* The trace row is the only per-slot allocation. *)
+    let row = Array.make n_flows 0.0 in
+    Price.flow_rates kernel ~x row;
+    trace.(!t) <- row;
+    Alpha.observe alpha row;
     emit_slot !t x;
     on_slot !t x;
     (* Optional early stop: no flow rate moved by more than the
        tolerance over the last 200 slots. *)
     (match stop_tol with
     | Some tol when !t >= 200 && !t mod 50 = 0 ->
+      let before = trace.(!t - 200) in
       let settled = ref true in
-      Array.iteri
-        (fun f v ->
-          let prev = trace.(!t - 200).(f) in
-          if Float.abs (v -. prev) > Float.max tol (0.005 *. Float.abs v) then
-            settled := false)
-        flow_rates;
-      if !settled then stopped := Some !t
+      for f = 0 to n_flows - 1 do
+        let v = row.(f) in
+        if Float.abs (v -. before.(f)) > Float.max tol (0.005 *. Float.abs v) then
+          settled := false
+      done;
+      if !settled then stopped := !t
     | Some _ | None -> ());
     incr t
   done;
   (* Pad the trace so convergence measurement still works. *)
-  (match !stopped with
-  | Some s ->
-    for t' = s + 1 to slots - 1 do
-      trace.(t') <- trace.(s)
-    done
-  | None -> ());
+  if !stopped >= 0 then
+    for t' = !stopped + 1 to slots - 1 do
+      trace.(t') <- trace.(!stopped)
+    done;
   {
     Cc_result.rates = x;
     flow_rates = Problem.flow_rates problem x;

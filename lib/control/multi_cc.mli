@@ -14,7 +14,13 @@
     with [y_l], [γ_l], [q_r] exactly as in the single-path controller.
     The controller is distributed: the rate update needs only the
     flow's own rates, [x̄_r], and the [q_r] echoed by the destination
-    in the 100 ms acknowledgements. *)
+    in the 100 ms acknowledgements.
+
+    Each slot runs on the {!Price} kernel compiled once per solve, so
+    results follow its summation-order contract bit for bit; [U'_f] is
+    evaluated once per flow. With no [sink] the slot loop allocates
+    only the [trace] row it returns ([n_flows + 1] words per slot);
+    the allocation gate in the control tests holds it to that. *)
 
 val solve :
   ?alpha:Alpha.t ->

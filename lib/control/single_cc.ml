@@ -6,21 +6,21 @@ let solve ?alpha ?(slots = 2000) ?(x_cap = 1000.0) (problem : Problem.t) =
     problem.Problem.flow_routes;
   let alpha = match alpha with Some a -> a | None -> Alpha.fixed 0.02 in
   let n_routes = Problem.n_routes problem in
-  let price = Price.create problem in
+  let kernel = Price.create problem in
+  let q = Price.q kernel in
   let x = Array.make n_routes 0.0 in
   let trace = Array.make slots [||] in
   let u'_inv = problem.Problem.utility.Utility.u'_inv in
   for t = 0 to slots - 1 do
     let a = Alpha.current alpha in
-    let y = Price.airtimes price ~x in
-    Price.step_gamma price ~y ~alpha:a;
-    let q = Price.route_costs price in
+    Price.step kernel ~x ~alpha:a ~drain:0.0;
+    Price.route_costs kernel;
     for r = 0 to n_routes - 1 do
       x.(r) <- Float.min x_cap (u'_inv q.(r))
     done;
     let flow_rates = Problem.flow_rates problem x in
     trace.(t) <- flow_rates;
-    Alpha.observe alpha (Array.fold_left ( +. ) 0.0 flow_rates)
+    Alpha.observe alpha flow_rates
   done;
   {
     Cc_result.rates = x;

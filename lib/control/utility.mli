@@ -10,6 +10,10 @@ type t = {
   u : float -> float;        (** U(x), defined for x >= 0 *)
   u' : float -> float;       (** U'(x) > 0, strictly decreasing *)
   u'_inv : float -> float;   (** inverse of U' extended with 0 beyond U'(0) *)
+  u'_into : float array -> float array -> unit;
+      (** [u'_into src dst] sets [dst.(i) <- u' src.(i)] for every
+          index of [src], bit-identical to [u'] and without allocating
+          (the controller's per-slot marginals) *)
 }
 
 val proportional_fair : t

@@ -336,11 +336,11 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
     else if cap l <= 0.0 then infinity
     else 1.0 /. cap l
   in
-  let gamma = Array.make n_links 0.0 in
   (* Only links on some flow's route ever carry data-plane traffic;
      only links interfering with those can accumulate airtime and
-     gamma. Restricting the control-plane loops to these sets keeps
-     the 100 ms tick cost independent of the network size. *)
+     gamma. The controller's dual kernel restricts the control-plane
+     loops to these sets, which keeps the 100 ms tick cost independent
+     of the network size. *)
   let is_carrier = Array.make n_links false in
   List.iter
     (fun (spec : flow_spec) ->
@@ -348,16 +348,9 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
         (fun p -> List.iter (fun l -> is_carrier.(l) <- true) p.Paths.links)
         spec.routes)
     flows;
-  let carrier_links =
-    List.filter (fun l -> is_carrier.(l)) (List.init n_links Fun.id)
-  in
-  let is_priced = Array.make n_links false in
-  List.iter
-    (fun l -> List.iter (fun i -> is_priced.(i) <- true) (Domain.domain dom l))
-    carrier_links;
-  let priced_links =
-    List.filter (fun l -> is_priced.(l)) (List.init n_links Fun.id)
-  in
+  let dual = Price.Dual.create dom ~delta:config.delta ~is_carrier in
+  let gamma = Price.Dual.gamma dual in
+  let carrier_links = Price.Dual.carriers dual in
   (* Interference domains as arrays: the list versions forced either a
      fold closure or a boxed float accumulator on every walk. *)
   let dom_arr = Array.init n_links (fun l -> Array.of_list (Domain.domain dom l)) in
@@ -1507,7 +1500,7 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
       for i = 0 to Array.length f.x - 1 do
         f.x_bar.(i) <- ((1.0 -. a) *. f.x_bar.(i)) +. (a *. f.x.(i))
       done;
-      Alpha.observe f.alpha (total_rate f);
+      Alpha.observe f.alpha f.x;
       (* Boxed kind: construct the event once and share it between the
          flight ring and the sink; run [accept] exactly once per offer. *)
       if fl_on || trace_on then begin
@@ -1528,43 +1521,21 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
       match f.tcp with Some _ -> tcp_try_send f | None -> ()
     end
   in
-  (* Demand scratch for the control tick: only carrier entries are
-     ever written, and each tick overwrites them before the domain
-     sums read them; non-carrier entries stay 0.0 forever, exactly as
-     the per-tick fresh array had them. *)
-  let demand = Array.make (max 1 n_links) 0.0 in
+  let demand = Price.Dual.demand dual in
+  let tick_drain = config.price_drain *. config.control_period in
   let handle_control_tick () =
-    (* 1. Demand measurement and dual update (carrier/priced sets
-       only; everything else has zero demand and zero gamma). *)
-    List.iter
-      (fun l ->
-        let bits = window_bits.(l) in
-        window_bits.(l) <- 0.0;
-        demand.(l) <- bits /. 1e6 *. d_est l /. config.control_period)
-      carrier_links;
-    List.iter
-      (fun l ->
-        let y =
-          let d = dom_arr.(l) in
-          facc.(0) <- 0.0;
-          for i = 0 to Array.length d - 1 do
-            facc.(0) <- facc.(0) +. demand.(d.(i))
-          done;
-          facc.(0)
-        in
-        let upd = gamma.(l) +. (config.gamma_alpha *. (y -. (1.0 -. config.delta))) in
-        (* Optional dual leak (per second of simulated time): bounds
-           how long a stale price outlives its load. Off by default —
-           the guard keeps the historical update bit-identical. *)
-        let upd =
-          if config.price_drain > 0.0 then
-            upd -. (config.price_drain *. config.control_period)
-          else upd
-        in
-        gamma.(l) <- Float.max 0.0 upd)
-      priced_links;
+    (* 1. Demand measurement and the dual update (8). The optional
+       drain is per second of simulated time, so a tick leaks
+       [price_drain * control_period]. *)
+    for c = 0 to Array.length carrier_links - 1 do
+      let l = carrier_links.(c) in
+      let bits = window_bits.(l) in
+      window_bits.(l) <- 0.0;
+      demand.(c) <- bits /. 1e6 *. d_est l /. config.control_period
+    done;
+    Price.Dual.step dual ~alpha:config.gamma_alpha ~drain:tick_drain;
     if fl_on || trace_on then
-      List.iter
+      Array.iter
         (fun l ->
           if fl_on then
             Obs.Flight.price fl ~t_s:now.(0) ~link:l ~gamma:gamma.(l)
@@ -1573,11 +1544,11 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
             Obs.Trace.push sink
               (Obs.Trace.Price_update
                  { t = now.(0); link = l; gamma = gamma.(l); price = link_price l }))
-        priced_links;
+        (Price.Dual.priced dual);
     (* 2. Capacity estimation (only carriers are ever priced or
        transmitted on, so only they need tracking). *)
     if config.estimate_capacities then
-      List.iter
+      Array.iter
         (fun l ->
           let st = links.(l) in
           Estimator.set_mode st.estimator

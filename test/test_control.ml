@@ -111,11 +111,13 @@ let test_price_airtimes () =
   let g, dom = fig1 () in
   let p = Problem.make g dom ~flows:[ fig1_routes g ] in
   let price = Price.create p in
-  let y = Price.airtimes price ~x:[| 10.0; 0.0 |] in
+  (* alpha = 0: computes y without moving gamma. *)
+  Price.step price ~x:[| 10.0; 0.0 |] ~alpha:0.0 ~drain:0.0;
   (* y for wifi b->c: all wifi demands = 10/30 (link 2 only). *)
-  check_float "y wifi" (1.0 /. 3.0) y.(2);
+  check_float "y wifi" (1.0 /. 3.0) (Price.airtime price 2);
   (* y for plc a->b: 10/10 = 1. *)
-  check_float "y plc" 1.0 y.(4);
+  check_float "y plc" 1.0 (Price.airtime price 4);
+  check_float "gamma untouched" 0.0 (Price.gamma price).(2);
   (* Routes on link caching. *)
   Alcotest.(check (list int)) "routes on shared wifi" [ 0; 1 ]
     (Price.routes_on_link price 2)
@@ -124,12 +126,11 @@ let test_price_gamma_updates () =
   let g, dom = fig1 () in
   let p = Problem.make g dom ~flows:[ fig1_routes g ] in
   let price = Price.create p in
-  let n = Multigraph.num_links g in
   (* Overloaded airtime raises gamma; underloaded decays to zero. *)
-  Price.step_gamma price ~y:(Array.make n 2.0) ~alpha:0.1;
+  Price.step price ~x:[| 100.0; 100.0 |] ~alpha:0.1 ~drain:0.0;
   Alcotest.(check bool) "gamma rose" true ((Price.gamma price).(0) > 0.0);
   for _ = 1 to 100 do
-    Price.step_gamma price ~y:(Array.make n 0.0) ~alpha:0.1
+    Price.step price ~x:[| 0.0; 0.0 |] ~alpha:0.1 ~drain:0.0
   done;
   check_float "gamma decayed to 0" 0.0 (Price.gamma price).(0)
 
@@ -137,15 +138,208 @@ let test_price_route_costs () =
   let g, dom = fig1 () in
   let p = Problem.make g dom ~flows:[ fig1_routes g ] in
   let price = Price.create p in
-  let n = Multigraph.num_links g in
-  Price.step_gamma price ~y:(Array.make n 2.0) ~alpha:1.0;
-  (* All gammas = 1 now. q_r = sum over hops of d_l * |I_l|. *)
-  let q = Price.route_costs price in
+  let gamma = Price.gamma price in
+  Array.fill gamma 0 (Array.length gamma) 1.0;
+  Price.route_costs price;
+  (* All gammas = 1. q_r = sum over hops of d_l * |I_l|. *)
+  let q = Price.q price in
   (* Route 1: plc hop d=1/10, |I|=2 -> 0.2 ; wifi hop d=1/30, |I|=4 ->
      4/30. *)
   check_float ~eps:1e-9 "q route 1" (0.2 +. (4.0 /. 30.0)) q.(0);
   (* Route 2: wifi a->b d=1/15 |I|=4 -> 4/15 ; + 4/30. *)
   check_float ~eps:1e-9 "q route 2" ((4.0 /. 15.0) +. (4.0 /. 30.0)) q.(1)
+
+(* --- Kernel against the reference oracle (test/ref_cc.ml) --- *)
+
+(* EMPoWER starts injection at the routing-estimated rates; compute
+   them the way the source would (standalone R(P) per route from the
+   multipath procedure). *)
+let routing_init g dom flows =
+  Array.of_list
+    (List.concat_map (List.map (fun p -> Update.path_rate g dom p)) flows)
+
+
+let same_bits a b =
+  Array.length a = Array.length b
+  && Array.for_all2
+       (fun u v -> Int64.equal (Int64.bits_of_float u) (Int64.bits_of_float v))
+       a b
+
+(* A random problem on a residential network: several flows between
+   random pairs (multi-route where the exploration tree finds several
+   paths, none where it finds none), random external airtime, margin
+   and utility. *)
+let random_case seed =
+  let rs = Random.State.make [| seed |] in
+  let inst = Residential.generate (Rng.create seed) in
+  let g = Builder.graph inst Builder.Hybrid in
+  let dom = Domain.of_instance inst Builder.Hybrid g in
+  let n = Multigraph.n_nodes g in
+  let flows =
+    List.init
+      (1 + Random.State.int rs 4)
+      (fun _ ->
+        let src = Random.State.int rs n in
+        let dst = (src + 1 + Random.State.int rs (n - 1)) mod n in
+        Multipath.routes (Multipath.find g dom ~src ~dst))
+  in
+  let external_airtime =
+    Array.init (Multigraph.num_links g) (fun _ ->
+        if Random.State.int rs 6 = 0 then Random.State.float rs 0.4 else 0.0)
+  in
+  let delta = [| 0.0; 0.05; 0.3 |].(Random.State.int rs 3) in
+  let utility =
+    match Random.State.int rs 3 with
+    | 0 -> Utility.proportional_fair
+    | 1 -> Utility.weighted_proportional_fair ~weight:(0.5 +. Random.State.float rs 2.0)
+    | _ -> Utility.alpha_fair ~alpha:(0.5 +. Random.State.float rs 2.0)
+  in
+  let p = Problem.make ~delta ~external_airtime ~utility g dom ~flows in
+  (rs, g, dom, flows, p)
+
+let prop_kernel_matches_reference_solve =
+  QCheck.Test.make ~name:"kernel solve bit-identical to the reference" ~count:40
+    QCheck.(int_bound 100000)
+    (fun seed ->
+      let rs, g, dom, flows, p = random_case seed in
+      let x_init = if Random.State.bool rs then Some (routing_init g dom flows) else None in
+      let slots = 250 + Random.State.int rs 300 in
+      let stop_tol = if Random.State.bool rs then Some 0.05 else None in
+      let price_drain = [| 0.0; 0.001; 0.02 |].(Random.State.int rs 3) in
+      let adaptive = Random.State.bool rs in
+      let salt = Random.State.int rs 1000 in
+      let ack_loss =
+        if Random.State.bool rs then
+          Some (fun ~slot ~flow -> ((slot * 7) + (flow * 13) + salt) mod 5 = 0)
+        else None
+      in
+      let events () =
+        let acc = ref [] in
+        (Obs.Trace.of_fn (fun ev -> acc := ev :: !acc), fun () -> List.rev !acc)
+      in
+      let sink_k, got_k = events () and sink_r, got_r = events () in
+      let hops = List.fold_left (fun m r -> max m (Paths.hops r)) 1 (List.concat flows) in
+      let a0 = Alpha.initial ~single_path:false ~longest_route_hops:hops in
+      let k =
+        Multi_cc.solve
+          ~alpha:
+            (if adaptive then Alpha.create ~single_path:false ~longest_route_hops:hops
+             else Alpha.fixed a0)
+          ?x_init ~slots ?stop_tol ?ack_loss ~price_drain ~sink:sink_k p
+      in
+      let r, _ =
+        Ref_cc.solve
+          ~alpha:(Ref_cc.Alpha.make ~adaptive a0)
+          ?x_init ~slots ?stop_tol ?ack_loss ~price_drain ~sink:sink_r p
+      in
+      if not (same_bits k.Cc_result.rates r.Cc_result.rates) then
+        QCheck.Test.fail_reportf "seed %d: rates differ" seed;
+      if not (same_bits k.Cc_result.flow_rates r.Cc_result.flow_rates) then
+        QCheck.Test.fail_reportf "seed %d: flow rates differ" seed;
+      Array.iteri
+        (fun t row ->
+          if not (same_bits row r.Cc_result.trace.(t)) then
+            QCheck.Test.fail_reportf "seed %d: trace differs at slot %d" seed t)
+        k.Cc_result.trace;
+      (* The traced Price_update events carry γ and the link price of
+         every route link at every slot. *)
+      if got_k () <> got_r () then
+        QCheck.Test.fail_reportf "seed %d: traced prices differ" seed;
+      true)
+
+let prop_kernel_matches_reference_prices =
+  QCheck.Test.make ~name:"kernel gamma, airtimes and q bit-identical to the reference"
+    ~count:40
+    QCheck.(int_bound 100000)
+    (fun seed ->
+      let rs, _, _, _, p = random_case seed in
+      let kernel = Price.create p and reference = Ref_cc.Price.create p in
+      let n_links = Array.length (Price.gamma kernel) in
+      for step = 1 to 60 do
+        let x =
+          Array.init (Problem.n_routes p) (fun _ -> Random.State.float rs 40.0)
+        in
+        let alpha = Random.State.float rs 0.2 in
+        let drain = [| 0.0; -1.0; 0.01 |].(Random.State.int rs 3) in
+        Price.step kernel ~x ~alpha ~drain;
+        Price.route_costs kernel;
+        let y = Ref_cc.Price.airtimes reference ~x in
+        Ref_cc.Price.step_gamma ~drain reference ~y ~alpha;
+        let q = Ref_cc.Price.route_costs reference in
+        if not (same_bits (Array.init n_links (Price.airtime kernel)) y) then
+          QCheck.Test.fail_reportf "seed %d: y differs at step %d" seed step;
+        if not (same_bits (Price.gamma kernel) reference.Ref_cc.Price.gamma) then
+          QCheck.Test.fail_reportf "seed %d: gamma differs at step %d" seed step;
+        if not (same_bits (Price.q kernel) q) then
+          QCheck.Test.fail_reportf "seed %d: q differs at step %d" seed step
+      done;
+      true)
+
+let prop_dual_matches_engine_step =
+  QCheck.Test.make ~name:"dual step bit-identical to the engine's control tick"
+    ~count:40
+    QCheck.(int_bound 100000)
+    (fun seed ->
+      let rs, _, dom, flows, _ = random_case seed in
+      let n_links = Domain.num_links dom in
+      let is_carrier = Array.make n_links false in
+      List.iter
+        (List.iter (fun p -> List.iter (fun l -> is_carrier.(l) <- true) p.Paths.links))
+        flows;
+      let delta = Random.State.float rs 0.3 in
+      let dual = Price.Dual.create dom ~delta ~is_carrier in
+      let priced_links = Array.to_list (Price.Dual.priced dual) in
+      let gamma = Array.make n_links 0.0 in
+      let demand = Array.make n_links 0.0 in
+      for step = 1 to 60 do
+        (* Measured demand: zero on idle carriers, bursts elsewhere. *)
+        Array.iteri
+          (fun c l ->
+            let v =
+              if Random.State.int rs 4 = 0 then 0.0 else Random.State.float rs 0.6
+            in
+            demand.(l) <- v;
+            (Price.Dual.demand dual).(c) <- v)
+          (Price.Dual.carriers dual);
+        let gamma_alpha = Random.State.float rs 0.1 in
+        let price_drain = [| 0.0; 0.05; -0.5 |].(Random.State.int rs 3) in
+        let control_period = 0.1 in
+        Ref_cc.engine_step dom ~priced_links ~demand ~gamma ~gamma_alpha ~delta
+          ~price_drain ~control_period;
+        Price.Dual.step dual ~alpha:gamma_alpha ~drain:(price_drain *. control_period);
+        if not (same_bits (Price.Dual.gamma dual) gamma) then
+          QCheck.Test.fail_reportf "seed %d: gamma differs at tick %d" seed step
+      done;
+      true)
+
+(* Allocation gate: on a fixed residential problem the slot loop
+   allocates only the trace row, [n_flows + 1] words per slot. The
+   4000- and 2000-slot solves share every per-solve cost (and the
+   trace spine, which is too large for the minor heap), so their
+   difference is the per-slot allocation of 2000 slots. *)
+let test_kernel_allocation_gate () =
+  let inst = Residential.generate (Rng.create 77) in
+  let g = Builder.graph inst Builder.Hybrid in
+  let dom = Domain.of_instance inst Builder.Hybrid g in
+  let flows =
+    List.filter
+      (fun rs -> rs <> [])
+      [
+        Multipath.routes (Multipath.find g dom ~src:0 ~dst:9);
+        Multipath.routes (Multipath.find g dom ~src:3 ~dst:7);
+      ]
+  in
+  let p = Problem.make g dom ~flows in
+  let x_init = routing_init g dom flows in
+  let words slots =
+    let w0 = Gc.minor_words () in
+    ignore (Sys.opaque_identity (Multi_cc.solve ~x_init ~slots p));
+    Gc.minor_words () -. w0
+  in
+  let extra = words 4000 -. words 2000 in
+  let budget = float_of_int (2000 * (Problem.n_flows p + 1)) in
+  if extra > budget then
+    Alcotest.failf "2000 extra slots allocated %.0f words (budget %.0f)" extra budget
 
 (* --- Alpha heuristic --- *)
 
@@ -165,7 +359,7 @@ let test_alpha_halves_on_oscillation () =
   for i = 1 to 20 do
     let amp = float_of_int i in
     rate := !rate +. (if i mod 2 = 0 then -.amp else amp);
-    Alpha.observe a !rate
+    Alpha.observe a [| !rate |]
   done;
   Alcotest.(check bool) "alpha halved" true (Alpha.current a < a0)
 
@@ -173,14 +367,14 @@ let test_alpha_stable_rate_keeps_alpha () =
   let a = Alpha.create ~single_path:false ~longest_route_hops:3 in
   let a0 = Alpha.current a in
   for i = 1 to 100 do
-    Alpha.observe a (10.0 +. (0.001 *. float_of_int i))
+    Alpha.observe a [| 10.0 +. (0.001 *. float_of_int i) |]
   done;
   check_float "unchanged" a0 (Alpha.current a)
 
 let test_alpha_fixed_never_adapts () =
   let a = Alpha.fixed 0.05 in
   for i = 1 to 50 do
-    Alpha.observe a (if i mod 2 = 0 then 0.0 else 100.0)
+    Alpha.observe a [| (if i mod 2 = 0 then 0.0 else 100.0) |]
   done;
   check_float "still 0.05" 0.05 (Alpha.current a)
 
@@ -216,13 +410,6 @@ let test_single_cc_rejects_multipath () =
        ignore (Single_cc.solve p);
        false
      with Invalid_argument _ -> true)
-
-(* EMPoWER starts injection at the routing-estimated rates; compute
-   them the way the source would (standalone R(P) per route from the
-   multipath procedure). *)
-let routing_init g dom flows =
-  Array.of_list
-    (List.concat_map (List.map (fun p -> Update.path_rate g dom p)) flows)
 
 let test_multi_cc_fig1 () =
   (* The Figure 1 scenario: total must approach 10 + 20/3 = 16.67. *)
@@ -386,6 +573,13 @@ let () =
           Alcotest.test_case "airtimes" `Quick test_price_airtimes;
           Alcotest.test_case "gamma updates" `Quick test_price_gamma_updates;
           Alcotest.test_case "route costs" `Quick test_price_route_costs;
+        ] );
+      ( "kernel",
+        [
+          QCheck_alcotest.to_alcotest prop_kernel_matches_reference_solve;
+          QCheck_alcotest.to_alcotest prop_kernel_matches_reference_prices;
+          QCheck_alcotest.to_alcotest prop_dual_matches_engine_step;
+          Alcotest.test_case "allocation gate" `Quick test_kernel_allocation_gate;
         ] );
       ( "alpha",
         [
