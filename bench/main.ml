@@ -26,9 +26,11 @@ open Toolkit
 
 (* ---------- part 1: kernels ---------- *)
 
+let residential_instance = lazy (Residential.generate (Rng.create 77))
+
 let residential_case =
   lazy
-    (let inst = Residential.generate (Rng.create 77) in
+    (let inst = Lazy.force residential_instance in
      let g = Builder.graph inst Builder.Hybrid in
      let dom = Domain.of_instance inst Builder.Hybrid g in
      (g, dom))
@@ -75,6 +77,33 @@ let cc_words_per_slot () =
     Gc.minor_words () -. w0
   in
   (words 4000 -. words 2000) /. 2000.0
+
+(* Words allocated by the second of two [f ()] calls: minor words plus
+   those allocated straight into the major heap (large arrays), from
+   the runtime's exact counters. The first call absorbs lazy set-up;
+   the measured call starts on an empty minor heap, because a minor
+   collection that lands early inside it inflates the count. *)
+let words_of_second_call f =
+  let words () =
+    let minor, promoted, major = Gc.counters () in
+    minor +. major -. promoted
+  in
+  ignore (Sys.opaque_identity (f ()));
+  Gc.minor ();
+  let w0 = words () in
+  ignore (Sys.opaque_identity (f ()));
+  words () -. w0
+
+(* The exploration tree on the residential case (flow 0 -> 9). *)
+let multipath_find_words () =
+  let g, dom = Lazy.force residential_case in
+  words_of_second_call (fun () -> Multipath.find g dom ~src:0 ~dst:9)
+
+(* The interference-domain build of the residential case. *)
+let domain_build_words () =
+  let inst = Lazy.force residential_instance in
+  let g, _ = Lazy.force residential_case in
+  words_of_second_call (fun () -> Domain.of_instance inst Builder.Hybrid g)
 
 let bench_lp () =
   let g, dom = Lazy.force residential_case in
@@ -498,6 +527,8 @@ let write_sim_bench () =
       1e3 *. timed_config (fun _ -> bench_cc ()) /. float_of_int bench_reps
     in
     let cc_words = cc_words_per_slot () in
+    let mp_words = multipath_find_words () in
+    let dom_words = domain_build_words () in
     let oc = open_out "BENCH_sim.json" in
     Printf.fprintf oc
       "{\n\
@@ -523,6 +554,8 @@ let write_sim_bench () =
       \  \"prof_shares_pct\": {%s},\n\
       \  \"cc_solve_500_slots_ms\": %.3f,\n\
       \  \"cc_words_per_slot\": %.2f,\n\
+      \  \"multipath_find_words\": %.0f,\n\
+      \  \"domain_build_words\": %.0f,\n\
       \  \"chaos_events_per_s\": %.0f,\n\
       \  \"chaos_fault_events_per_run\": %d,\n\
       \  \"sever_events_per_s\": %.0f,\n\
@@ -550,7 +583,7 @@ let write_sim_bench () =
       (!trace_events / reps) overhead_pct overhead_sampled_pct
       (!sampled_events / reps) flight_overhead_pct buffered_events_s
       prof_events_n prof_ns
-      prof_words prof_shares cc_solve_ms cc_words chaos_events_s
+      prof_words prof_shares cc_solve_ms cc_words mp_words dom_words chaos_events_s
       (!chaos_faults / reps) sever_events_s sever_flow.Chaos.detect_s
       sever_flow.Chaos.recovery_s sever_flow.Chaos.goodput_mbps
       churn_spec.Scenario.name churn_spec.Scenario.seed

@@ -68,9 +68,16 @@ let capacity t l =
 
 let capacities t = Array.copy t.caps
 
-let d t l =
-  let c = capacity t l in
-  if c <= 0.0 then infinity else 1.0 /. c
+let d_of_capacity c = if c <= 0.0 then infinity else 1.0 /. c
+
+let d t l = d_of_capacity (capacity t l)
+
+let d_into t dst =
+  if Array.length dst <> Array.length t.caps then
+    invalid_arg "Multigraph.d_into: length mismatch";
+  for l = 0 to Array.length t.caps - 1 do
+    dst.(l) <- d_of_capacity t.caps.(l)
+  done
 
 let usable t l = capacity t l > 0.0
 

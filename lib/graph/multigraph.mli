@@ -55,6 +55,11 @@ val d : t -> int -> float
 (** [d g l] is [1 /. capacity g l], the paper's airtime-per-bit metric;
     [infinity] when the capacity is zero. *)
 
+val d_into : t -> float array -> unit
+(** [d_into g a] writes [d g l] into [a.(l)] for every link, without
+    allocating. Raises [Invalid_argument] unless [a] has one slot per
+    link. *)
+
 val usable : t -> int -> bool
 (** [true] iff the link currently has strictly positive capacity. *)
 

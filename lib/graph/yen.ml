@@ -4,17 +4,55 @@ module Path_set = Set.Make (struct
   let compare = Stdlib.compare
 end)
 
-let k_shortest ?(csc = true) g ~src ~dst ~k =
-  if k < 1 then invalid_arg "Yen.k_shortest: k < 1";
-  match Dijkstra.shortest_path ~csc g ~src ~dst with
+(* The hop of [pl] at index [i] when its first [i] hops are
+   [root.(0 .. i-1)], else -1. *)
+let rec spur_hop root i j pl =
+  match pl with
+  | [] -> -1
+  | l :: rest ->
+    if j = i then l else if l = root.(j) then spur_hop root i (j + 1) rest else -1
+
+(* [root.(0 .. i-1)] prepended to [tail]. *)
+let rec prepend_root root i tail =
+  if i = 0 then tail else prepend_root root (i - 1) (root.(i - 1) :: tail)
+
+(* [Paths.is_loopless] with a stamped node-mark array instead of a
+   hash table: [stamp] must not occur in [mark] yet. *)
+let rec unvisited g mark stamp = function
+  | [] -> true
+  | l :: rest ->
+    let v = (Multigraph.link g l).Multigraph.dst in
+    mark.(v) <> stamp
+    && begin
+      mark.(v) <- stamp;
+      unvisited g mark stamp rest
+    end
+
+let loopless g mark stamp links =
+  match links with
+  | [] -> true
+  | l :: _ ->
+    mark.((Multigraph.link g l).Multigraph.src) <- stamp;
+    unvisited g mark stamp links
+
+let search s ~src ~dst ~k =
+  if k < 1 then invalid_arg "Yen.search: k < 1";
+  if src = dst then invalid_arg "Yen.search: src = dst";
+  Dijkstra.clear_bans s;
+  match Dijkstra.search s ~src ~dst with
   | None -> []
   | Some first ->
+    let g = Dijkstra.graph s in
     let accepted = ref [ first ] in
     let seen = ref (Path_set.singleton (fst first).Paths.links) in
     (* Candidate paths found so far but not yet accepted. *)
     let candidates = Pqueue.create () in
-    let add_candidate (p, c) =
-      if (not (Path_set.mem p.Paths.links !seen)) && Paths.is_loopless g p then begin
+    let mark = Array.make (Multigraph.n_nodes g) 0 in
+    let stamp = ref 0 in
+    let add_candidate p c =
+      incr stamp;
+      if (not (Path_set.mem p.Paths.links !seen)) && loopless g mark !stamp p.Paths.links
+      then begin
         seen := Path_set.add p.Paths.links !seen;
         Pqueue.push candidates c p
       end
@@ -23,56 +61,30 @@ let k_shortest ?(csc = true) g ~src ~dst ~k =
       let links = Array.of_list prev_path.Paths.links in
       let nodes = Array.of_list (Paths.nodes g prev_path) in
       for i = 0 to Array.length links - 1 do
-        let spur_node = nodes.(i) in
-        let root_links = Array.to_list (Array.sub links 0 i) in
-        (* Links banned at the spur: the i-th hop of every accepted or
-           candidate path sharing this root prefix. *)
-        let banned_links_tbl = Hashtbl.create 8 in
-        let consider p =
-          let pl = p.Paths.links in
-          let rec prefix_match a b =
-            match (a, b) with
-            | [], _ -> true
-            | x :: xs, y :: ys when x = y -> prefix_match xs ys
-            | _ -> false
-          in
-          if prefix_match root_links pl then
-            match List.nth_opt pl i with
-            | Some l -> Hashtbl.replace banned_links_tbl l ()
-            | None -> ()
-        in
-        List.iter (fun (p, _) -> consider p) !accepted;
-        (* Nodes of the root path (except the spur node) are banned to
-           keep candidates loopless. *)
-        let banned_nodes_tbl = Hashtbl.create 8 in
+        (* Bans for this spur only: the i-th hop of every accepted path
+           sharing the root prefix, and the root path's nodes before
+           the spur node (which keeps candidates loopless). *)
+        Dijkstra.clear_bans s;
+        List.iter
+          (fun (p, _) ->
+            let l = spur_hop links i 0 p.Paths.links in
+            if l >= 0 then Dijkstra.ban_link s l)
+          !accepted;
         for j = 0 to i - 1 do
-          Hashtbl.replace banned_nodes_tbl nodes.(j) ()
+          Dijkstra.ban_node s nodes.(j)
         done;
-        let constraints =
-          {
-            Dijkstra.banned_links = Hashtbl.mem banned_links_tbl;
-            banned_nodes = Hashtbl.mem banned_nodes_tbl;
-          }
-        in
         let init_tech =
-          if i = 0 then None
-          else Some (Multigraph.link g links.(i - 1)).Multigraph.tech
+          if i = 0 then None else Some (Multigraph.link g links.(i - 1)).Multigraph.tech
         in
-        let spur =
-          match init_tech with
-          | None -> Dijkstra.shortest_path ~csc ~constraints g ~src:spur_node ~dst
-          | Some t ->
-            Dijkstra.shortest_path ~csc ~constraints ~init_tech:t g ~src:spur_node
-              ~dst
-        in
-        match spur with
+        match Dijkstra.search ?init_tech s ~src:nodes.(i) ~dst with
         | None -> ()
         | Some (spur_path, _) ->
-          let total_links = root_links @ spur_path.Paths.links in
+          let total_links = prepend_root links i spur_path.Paths.links in
           let p = Paths.of_links g total_links in
-          let cost = Dijkstra.path_cost ~csc g p in
-          if Float.is_finite cost then add_candidate (p, cost)
-      done
+          let cost = Dijkstra.cost s total_links in
+          if Float.is_finite cost then add_candidate p cost
+      done;
+      Dijkstra.clear_bans s
     in
     let rec loop () =
       if List.length !accepted >= k then ()
@@ -87,3 +99,8 @@ let k_shortest ?(csc = true) g ~src ~dst ~k =
     in
     loop ();
     List.sort (fun (_, a) (_, b) -> compare a b) (List.rev !accepted)
+
+let k_shortest ?csc g ~src ~dst ~k =
+  if k < 1 then invalid_arg "Yen.k_shortest: k < 1";
+  if src = dst then invalid_arg "Yen.k_shortest: src = dst";
+  search (Dijkstra.compile ?csc g) ~src ~dst ~k

@@ -11,6 +11,9 @@ let find ?(n = 5) ?(csc = true) ?(max_depth = 6) ?(min_rate = 0.1)
     ?(max_vertices = 2_000) g dom ~src ~dst =
   if n < 1 then invalid_arg "Multipath.find: n < 1";
   if src = dst then invalid_arg "Multipath.find: src = dst";
+  (* One compiled search serves the whole tree: update(P, G) changes
+     capacities only, so each vertex just reloads its weights. *)
+  let search = Dijkstra.compile ~csc g in
   let vertices = ref 0 in
   let best = ref { paths = []; total_rate = 0.0; tree_depth = 0; tree_vertices = 0 } in
   let consider_leaf acc_paths acc_total depth =
@@ -33,7 +36,8 @@ let find ?(n = 5) ?(csc = true) ?(max_depth = 6) ?(min_rate = 0.1)
     let candidates =
       if depth >= max_depth || not budget_ok then []
       else begin
-        Yen.k_shortest ~csc g ~src ~dst ~k:n
+        Dijkstra.refresh search g;
+        Yen.search search ~src ~dst ~k:n
         |> List.filter_map (fun (p, _) ->
                let r = Update.path_rate g dom p in
                if r >= min_rate then Some (p, r) else None)

@@ -1,33 +1,56 @@
-let domain_path_weight g dom path l =
-  (* Σ_{l' ∈ I_l ∩ P} d_l' : the airtime-per-bit that path traffic
-     costs link l's collision domain. *)
-  List.fold_left
-    (fun acc l' ->
-      if Domain.interferes dom l l' then acc +. Multigraph.d g l' else acc)
-    0.0 path.Paths.links
+(* A path's hops with their d_l, read once per call: every R(l,P) and
+   r(l,P) below sums over them in path order. *)
+type hops = { ids : int array; ds : float array }
 
-let rate_on_link g dom path l =
-  let w = domain_path_weight g dom path l in
+let hops g path =
+  let ids = Array.of_list path.Paths.links in
+  { ids; ds = Array.map (Multigraph.d g) ids }
+
+(* Σ_{l' ∈ I_l ∩ P} d_l' : the airtime-per-bit that path traffic costs
+   link l's collision domain. *)
+let domain_path_weight dom h l =
+  let acc = ref 0.0 in
+  for j = 0 to Array.length h.ids - 1 do
+    if Domain.interferes dom l h.ids.(j) then acc := !acc +. h.ds.(j)
+  done;
+  !acc
+
+let hop_rate dom h l =
+  let w = domain_path_weight dom h l in
   if Float.is_finite w && w > 0.0 then 1.0 /. w else 0.0
 
-let path_rate g dom path =
-  List.fold_left
-    (fun acc l -> Float.min acc (rate_on_link g dom path l))
-    infinity path.Paths.links
+let hops_rate dom h =
+  Array.fold_left (fun acc l -> Float.min acc (hop_rate dom h l)) infinity h.ids
 
-let idle_fraction g dom path l =
-  let r = path_rate g dom path in
+(* r(l,P) given R(P) = [r]. *)
+let idle dom h r l =
   if r <= 0.0 then 1.0
   else begin
-    let consumed = r *. domain_path_weight g dom path l in
+    let consumed = r *. domain_path_weight dom h l in
     Float.max 0.0 (Float.min 1.0 (1.0 -. consumed))
   end
 
+let rate_on_link g dom path l = hop_rate dom (hops g path) l
+
+let path_rate g dom path = hops_rate dom (hops g path)
+
+let idle_fraction g dom path l =
+  let h = hops g path in
+  idle dom h (hops_rate dom h) l
+
 let update g dom path =
+  let h = hops g path in
+  let r = hops_rate dom h in
   let caps = Multigraph.capacities g in
-  let touched = Hashtbl.create 32 in
-  List.iter
-    (fun l -> List.iter (fun l' -> Hashtbl.replace touched l' ()) (Domain.domain dom l))
-    path.Paths.links;
-  Hashtbl.iter (fun l () -> caps.(l) <- caps.(l) *. idle_fraction g dom path l) touched;
+  let touched = Array.make (Array.length caps) false in
+  Array.iter
+    (fun l ->
+      List.iter
+        (fun l' ->
+          if not touched.(l') then begin
+            touched.(l') <- true;
+            caps.(l') <- caps.(l') *. idle dom h r l'
+          end)
+        (Domain.domain dom l))
+    h.ids;
   Multigraph.with_capacities g caps

@@ -1,6 +1,6 @@
 (** Mutable binary min-heap keyed by float priority.
 
-    Used by Dijkstra/Yen in [empower_graph] and by the event queue of
+    Used for Yen's candidate paths in [empower_graph] and by the event queue of
     the discrete-event simulator, where the priority is an event
     timestamp. Ties are broken by insertion order (FIFO), which keeps
     simulations deterministic.

@@ -176,16 +176,14 @@ let test_dijkstra_banned () =
     Multigraph.create ~n_nodes:3 ~n_techs:1
       ~edges:[ (0, 1, 0, 10.0); (1, 2, 0, 10.0); (0, 2, 0, 1.0) ]
   in
-  let constraints =
-    { Dijkstra.banned_links = (fun l -> l = 0); banned_nodes = (fun _ -> false) }
-  in
-  (match Dijkstra.shortest_path ~constraints g ~src:0 ~dst:2 with
+  let s = Dijkstra.compile g in
+  Dijkstra.ban_link s 0;
+  (match Dijkstra.search s ~src:0 ~dst:2 with
   | Some (p, _) -> Alcotest.(check int) "detour via direct link" 1 (Paths.hops p)
   | None -> Alcotest.fail "no path");
-  let constraints =
-    { Dijkstra.banned_links = (fun _ -> false); banned_nodes = (fun n -> n = 1) }
-  in
-  match Dijkstra.shortest_path ~constraints g ~src:0 ~dst:2 with
+  Dijkstra.clear_bans s;
+  Dijkstra.ban_node s 1;
+  match Dijkstra.search s ~src:0 ~dst:2 with
   | Some (p, _) -> Alcotest.(check int) "relay banned" 1 (Paths.hops p)
   | None -> Alcotest.fail "no path"
 
@@ -244,6 +242,11 @@ let test_yen_fewer_than_k () =
   let g2 = Multigraph.create ~n_nodes:3 ~n_techs:1 ~edges:[ (0, 1, 0, 10.0) ] in
   Alcotest.(check int) "unreachable -> empty" 0
     (List.length (Yen.k_shortest g2 ~src:0 ~dst:2 ~k:5))
+
+let test_yen_src_eq_dst () =
+  let g = fig1 () in
+  Alcotest.check_raises "named error" (Invalid_argument "Yen.k_shortest: src = dst")
+    (fun () -> ignore (Yen.k_shortest g ~src:1 ~dst:1 ~k:3))
 
 let test_yen_multigraph_parallel_edges () =
   (* Two parallel technologies between the same pair are two distinct
@@ -329,6 +332,7 @@ let () =
           Alcotest.test_case "basic 3 paths" `Quick test_yen_basic;
           Alcotest.test_case "k=1 matches dijkstra" `Quick test_yen_k1_matches_dijkstra;
           Alcotest.test_case "fewer than k" `Quick test_yen_fewer_than_k;
+          Alcotest.test_case "src = dst rejected" `Quick test_yen_src_eq_dst;
           Alcotest.test_case "parallel technologies" `Quick
             test_yen_multigraph_parallel_edges;
           QCheck_alcotest.to_alcotest prop_yen_consistent;

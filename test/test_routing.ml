@@ -325,6 +325,265 @@ let prop_routes_valid =
           Paths.is_loopless g p && Paths.src g p = src && Paths.dst g p = dst && r > 0.0)
         comb.Multipath.paths)
 
+(* --- Compiled routing kernel against the reference oracle --- *)
+
+module R = Ref_routing
+
+let bits_eq a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let same_path (p, c) (p', c') = p.Paths.links = p'.Paths.links && bits_eq c c'
+
+let same_result a b =
+  match (a, b) with
+  | None, None -> true
+  | Some x, Some y -> same_path x y
+  | Some _, None | None, Some _ -> false
+
+let same_paths xs ys = List.length xs = List.length ys && List.for_all2 same_path xs ys
+
+type kernel_case = {
+  kg : Multigraph.t;
+  techs : Technology.t array;
+  positions : Geometry.point array;
+  panels : int array;
+  rng : Rng.t;
+}
+
+(* A random residential, enterprise or testbed instance under one of
+   the three scenarios, or a property-suite multigraph with some links
+   at zero capacity and a random geometry and technology table. *)
+let kernel_case seed =
+  let rng = Rng.create (0x6B3D + seed) in
+  match Rng.int rng 4 with
+  | 3 ->
+    let c = Prop_gen.case_of_seed seed in
+    let caps = Multigraph.capacities c.Prop_gen.g in
+    Array.iteri (fun l _ -> if Rng.float rng < 0.2 then caps.(l) <- 0.0) caps;
+    let g = Multigraph.with_capacities c.Prop_gen.g caps in
+    let n = Multigraph.n_nodes g in
+    {
+      kg = g;
+      techs =
+        Array.init (Multigraph.n_techs g) (fun index ->
+            if Rng.bool rng then Technology.plc ~index
+            else Technology.wifi ~index ~channel:(1 + index));
+      positions =
+        Array.init n (fun _ -> Geometry.uniform_in_rect rng ~width:80.0 ~height:60.0);
+      panels = Array.init n (fun _ -> Rng.int rng 2);
+      rng;
+    }
+  | kind ->
+    let inst =
+      match kind with
+      | 0 -> Residential.generate rng
+      | 1 -> Enterprise.generate rng
+      | _ -> Testbed.generate rng
+    in
+    let scen = [| Builder.Hybrid; Builder.Single_wifi; Builder.Multi_wifi |].(Rng.int rng 3) in
+    {
+      kg = Builder.graph inst scen;
+      techs = Builder.techs scen;
+      positions = Array.map (fun nd -> nd.Builder.pos) inst.Builder.nodes;
+      panels = Array.map (fun nd -> nd.Builder.panel) inst.Builder.nodes;
+      rng;
+    }
+
+let random_pair c =
+  let n = Multigraph.n_nodes c.kg in
+  let src = Rng.int c.rng n in
+  (src, (src + 1 + Rng.int c.rng (n - 1)) mod n)
+
+let random_init_tech c =
+  if Rng.bool c.rng then None else Some (Rng.int c.rng (Multigraph.n_techs c.kg))
+
+(* A capacity view of the case's graph: some links dead, some scaled. *)
+let random_view c =
+  let caps = Multigraph.capacities c.kg in
+  Array.iteri
+    (fun l cap ->
+      let u = Rng.float c.rng in
+      if u < 0.15 then caps.(l) <- 0.0
+      else if u < 0.5 then caps.(l) <- cap *. Rng.uniform c.rng 0.01 1.0)
+    caps;
+  Multigraph.with_capacities c.kg caps
+
+let case_dom c =
+  let cs_factor = Rng.uniform c.rng 0.3 2.5 in
+  let dom =
+    Domain.standard ~cs_factor c.kg ~techs:c.techs ~positions:c.positions ~panels:c.panels
+  in
+  let ref_dom =
+    R.Domain.standard ~cs_factor c.kg ~techs:c.techs ~positions:c.positions
+      ~panels:c.panels
+  in
+  (dom, ref_dom)
+
+let same_domain dom (matrix, domains) =
+  let n = Array.length matrix in
+  Domain.num_links dom = n
+  && List.for_all
+       (fun l ->
+         Domain.domain dom l = domains.(l)
+         && List.for_all (fun l' -> Domain.interferes dom l l' = matrix.(l).(l')) (List.init n Fun.id))
+       (List.init n Fun.id)
+
+let prop_kernel_domain =
+  QCheck.Test.make ~name:"Domain.standard and create match the oracle" ~count:150
+    QCheck.(int_bound 100000)
+    (fun seed ->
+      let c = kernel_case seed in
+      let dom, ref_dom = case_dom c in
+      let m = Multigraph.num_links c.kg in
+      (* An asymmetric random predicate: create must symmetrize it. *)
+      let pred = Array.init m (fun _ -> Array.init m (fun _ -> Rng.float c.rng < 0.2)) in
+      let interferes l l' = pred.(l).(l') in
+      same_domain dom ref_dom
+      && same_domain (Domain.create c.kg ~interferes) (R.Domain.create c.kg ~interferes))
+
+let prop_kernel_dijkstra =
+  QCheck.Test.make ~name:"compiled Dijkstra matches the oracle, with bans and refresh"
+    ~count:150
+    QCheck.(int_bound 100000)
+    (fun seed ->
+      let c = kernel_case seed in
+      let csc = Rng.bool c.rng in
+      let s = Dijkstra.compile ~csc c.kg in
+      let n = Multigraph.n_nodes c.kg and m = Multigraph.num_links c.kg in
+      List.for_all
+        (fun _ ->
+          let g = if Rng.bool c.rng then c.kg else random_view c in
+          Dijkstra.refresh s g;
+          let src, dst = random_pair c in
+          let init_tech = random_init_tech c in
+          let one_shot =
+            same_result
+              (Dijkstra.shortest_path ~csc ?init_tech g ~src ~dst)
+              (R.Dijkstra.shortest_path ~csc ?init_tech g ~src ~dst)
+          in
+          let banned_links = Array.init m (fun _ -> Rng.float c.rng < 0.15) in
+          let banned_nodes = Array.init n (fun _ -> Rng.float c.rng < 0.15) in
+          Dijkstra.clear_bans s;
+          Array.iteri (fun l b -> if b then Dijkstra.ban_link s l) banned_links;
+          Array.iteri (fun u b -> if b then Dijkstra.ban_node s u) banned_nodes;
+          let constraints =
+            {
+              R.Dijkstra.banned_links = (fun l -> banned_links.(l));
+              banned_nodes = (fun u -> banned_nodes.(u));
+            }
+          in
+          let banned =
+            same_result
+              (Dijkstra.search ?init_tech s ~src ~dst)
+              (R.Dijkstra.shortest_path ~csc ~constraints ?init_tech g ~src ~dst)
+          in
+          Dijkstra.clear_bans s;
+          let cost_ok =
+            match R.Dijkstra.shortest_path ~csc g ~src ~dst with
+            | None -> true
+            | Some (p, _) ->
+              bits_eq
+                (Dijkstra.cost ?init_tech s p.Paths.links)
+                (R.Dijkstra.path_cost ~csc ?init_tech g p)
+              && bits_eq (Dijkstra.path_cost ~csc g p) (R.Dijkstra.path_cost ~csc g p)
+          in
+          let wns_ok = bits_eq (Dijkstra.wns g src) (R.Dijkstra.wns g src) in
+          one_shot && banned && cost_ok && wns_ok)
+        (List.init 6 Fun.id))
+
+let prop_kernel_yen =
+  QCheck.Test.make ~name:"Yen matches the oracle, one-shot and on a reused search"
+    ~count:150
+    QCheck.(int_bound 100000)
+    (fun seed ->
+      let c = kernel_case seed in
+      let csc = Rng.bool c.rng in
+      let k = 1 + Rng.int c.rng 8 in
+      let src, dst = random_pair c in
+      let one_shot =
+        same_paths (Yen.k_shortest ~csc c.kg ~src ~dst ~k)
+          (R.Yen.k_shortest ~csc c.kg ~src ~dst ~k)
+      in
+      let s = Dijkstra.compile ~csc c.kg in
+      ignore (Yen.search s ~src ~dst ~k);
+      let g = random_view c in
+      Dijkstra.refresh s g;
+      let src, dst = random_pair c in
+      one_shot && same_paths (Yen.search s ~src ~dst ~k) (R.Yen.k_shortest ~csc g ~src ~dst ~k))
+
+let prop_kernel_update =
+  QCheck.Test.make ~name:"R(P), r(l,P) and update(P,G) match the oracle" ~count:150
+    QCheck.(int_bound 100000)
+    (fun seed ->
+      let c = kernel_case seed in
+      let dom, _ = case_dom c in
+      let g = if Rng.bool c.rng then c.kg else random_view c in
+      let src, dst = random_pair c in
+      let m = Multigraph.num_links g in
+      List.for_all
+        (fun (p, _) ->
+          let g' = Update.update g dom p and g'' = R.Update.update g dom p in
+          bits_eq (Update.path_rate g dom p) (R.Update.path_rate g dom p)
+          && List.for_all
+               (fun l ->
+                 bits_eq (Update.rate_on_link g dom p l) (R.Update.rate_on_link g dom p l))
+               p.Paths.links
+          && List.for_all
+               (fun l ->
+                 bits_eq (Update.idle_fraction g dom p l) (R.Update.idle_fraction g dom p l)
+                 && bits_eq (Multigraph.capacity g' l) (Multigraph.capacity g'' l))
+               (List.init m Fun.id))
+        (R.Yen.k_shortest g ~src ~dst ~k:3))
+
+let same_combination (a : Multipath.combination) (b : Multipath.combination) =
+  same_paths a.Multipath.paths b.Multipath.paths
+  && bits_eq a.Multipath.total_rate b.Multipath.total_rate
+  && a.Multipath.tree_depth = b.Multipath.tree_depth
+  && a.Multipath.tree_vertices = b.Multipath.tree_vertices
+
+let prop_kernel_multipath =
+  QCheck.Test.make ~name:"Multipath.find matches the oracle" ~count:100
+    QCheck.(int_bound 100000)
+    (fun seed ->
+      let c = kernel_case seed in
+      let dom, _ = case_dom c in
+      let n = 1 + Rng.int c.rng 5 and csc = Rng.bool c.rng in
+      let max_depth = 1 + Rng.int c.rng 6 in
+      let src, dst = random_pair c in
+      same_combination
+        (Multipath.find ~n ~csc ~max_depth c.kg dom ~src ~dst)
+        (R.Multipath.find ~n ~csc ~max_depth c.kg dom ~src ~dst))
+
+(* A search run a second time on a compiled residential graph may
+   allocate its result only: 3 words per link-list cell, 2 for the
+   Paths.t record, 2 for the boxed cost, 3 for the pair and 2 for the
+   option, i.e. 3 * hops + 9 words. *)
+let test_search_allocation () =
+  let inst = Residential.generate (Rng.create 11) in
+  let g = Builder.graph inst Builder.Hybrid in
+  let s = Dijkstra.compile g in
+  let hops dst =
+    match Dijkstra.search s ~src:0 ~dst with Some (p, _) -> Paths.hops p | None -> 0
+  in
+  (* The destination with the longest shortest path from node 0. *)
+  let dst =
+    List.fold_left
+      (fun best v -> if hops v > hops best then v else best)
+      1
+      (List.init (Multigraph.n_nodes g - 2) (fun i -> i + 2))
+  in
+  let h = hops dst in
+  (* Start from an empty minor heap, so no collection lands inside the
+     measured search. *)
+  Gc.minor ();
+  let w0 = Gc.minor_words () in
+  let r = Sys.opaque_identity (Dijkstra.search s ~src:0 ~dst) in
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check bool) "found" true (Option.is_some r);
+  let budget = float_of_int ((3 * h) + 9) in
+  if words > budget then
+    Alcotest.failf "second search over %d hops allocated %.0f words (budget %.0f)" h words
+      budget
+
 let () =
   Alcotest.run "routing"
     [
@@ -369,5 +628,15 @@ let () =
           QCheck_alcotest.to_alcotest prop_update_zeroes_bottleneck;
           QCheck_alcotest.to_alcotest prop_combination_at_least_single_path;
           QCheck_alcotest.to_alcotest prop_routes_valid;
+        ] );
+      ( "kernel",
+        [
+          QCheck_alcotest.to_alcotest prop_kernel_domain;
+          QCheck_alcotest.to_alcotest prop_kernel_dijkstra;
+          QCheck_alcotest.to_alcotest prop_kernel_yen;
+          QCheck_alcotest.to_alcotest prop_kernel_update;
+          QCheck_alcotest.to_alcotest prop_kernel_multipath;
+          Alcotest.test_case "search allocates only its result" `Quick
+            test_search_allocation;
         ] );
     ]
