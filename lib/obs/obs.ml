@@ -597,10 +597,9 @@ module Trace = struct
       | k -> Error (Printf.sprintf "unknown event kind %S" k))
 
   (* A sink carries its own deterministic sampling state: [every] = 1
-     delivers everything, [sampled] multiplies periods. The
-     [accept]/[push] split exists so hot emitters can skip even
-     constructing the event record for offers the sink will discard;
-     [emit] is the fused convenience for cold paths. *)
+     delivers everything, [sampled] multiplies periods. [accept]
+     advances the sampler by one offer; {!Emit}'s writers call it
+     before building the event, so a discarded offer builds nothing. *)
   type sink = {
     every : int;
     mutable countdown : int;  (* 0 => the next offer is delivered *)
@@ -621,7 +620,6 @@ module Trace = struct
       false
     end
 
-  let push s ev = s.push_fn ev
   let emit s ev = if accept s then s.push_fn ev
 
   let sampled ~every s =
@@ -656,7 +654,8 @@ end
    columns — no event record is built and nothing grows — so the ring
    can stay attached to every run. Only the two array-carrying
    control-plane kinds ([Rate_update], [Ack], a few per control
-   period) box an event into the [boxed] column. *)
+   period) box an event into the [boxed] column. Rows are written by
+   {!Emit}'s writers and read back by [event_of_row]. *)
 module Flight = struct
   let default_capacity = 65536
   let default_dump_path = "empower-flight-dump.jsonl"
@@ -741,143 +740,16 @@ module Flight = struct
     | 3 -> Trace.Backlog_cleared
     | _ -> Trace.Fault_injected
 
-  let slot t tag time =
+  (* Claim the next row; the time comes from the emitter's clock so no
+     float crosses a call boxed. *)
+  let slot t tag clock =
     let i = t.next in
     t.next <- (if i + 1 = t.cap then 0 else i + 1);
     t.total <- t.total + 1;
     t.tag.(i) <- tag;
-    t.time.(i) <- time;
+    t.time.(i) <- clock.(0);
     if t.boxed.(i) != None then t.boxed.(i) <- None;
     i
-
-  let enqueue t ~t_s ~link ~flow ~seq ~bytes ~qlen =
-    let i = slot t k_enqueue t_s in
-    t.i1.(i) <- link;
-    t.i2.(i) <- flow;
-    t.i3.(i) <- seq;
-    t.i4.(i) <- bytes;
-    t.i5.(i) <- qlen
-
-  let grant t ~t_s ~link ~flow ~seq ~collided ~airtime =
-    let i = slot t k_grant t_s in
-    t.i1.(i) <- link;
-    t.i2.(i) <- flow;
-    t.i3.(i) <- seq;
-    t.i4.(i) <- (if collided then 1 else 0);
-    t.f1.(i) <- airtime
-
-  let dequeue t ~t_s ~link ~flow ~seq =
-    let i = slot t k_dequeue t_s in
-    t.i1.(i) <- link;
-    t.i2.(i) <- flow;
-    t.i3.(i) <- seq
-
-  let collision t ~t_s ~link ~flow ~seq =
-    let i = slot t k_collision t_s in
-    t.i1.(i) <- link;
-    t.i2.(i) <- flow;
-    t.i3.(i) <- seq
-
-  let drop t ~t_s ~link ~flow ~seq ~reason =
-    let i = slot t k_drop t_s in
-    t.i1.(i) <- (match link with Some l -> l | None -> -1);
-    t.i2.(i) <- flow;
-    t.i3.(i) <- seq;
-    t.i4.(i) <- reason_code reason
-
-  let delivery t ~t_s ~flow ~seq ~bytes ~delay =
-    let i = slot t k_delivery t_s in
-    t.i1.(i) <- flow;
-    t.i2.(i) <- seq;
-    t.i3.(i) <- bytes;
-    t.f1.(i) <- delay
-
-  let price t ~t_s ~link ~gamma ~price =
-    let i = slot t k_price t_s in
-    t.i1.(i) <- link;
-    t.f1.(i) <- gamma;
-    t.f2.(i) <- price
-
-  let link_event t ~t_s ~link ~capacity =
-    let i = slot t k_link t_s in
-    t.i1.(i) <- link;
-    t.f1.(i) <- capacity
-
-  let loss_event t ~t_s ~link ~prob =
-    let i = slot t k_loss t_s in
-    t.i1.(i) <- link;
-    t.f1.(i) <- prob
-
-  let ctrl_event t ~t_s ~drop ~delay =
-    let i = slot t k_ctrl t_s in
-    t.f1.(i) <- drop;
-    t.f2.(i) <- delay
-
-  let route_dead t ~t_s ~flow ~route ~detect_s =
-    let i = slot t k_route_dead t_s in
-    t.i1.(i) <- flow;
-    t.i2.(i) <- route;
-    t.f1.(i) <- detect_s
-
-  let route_probe t ~t_s ~flow ~route ~attempt =
-    let i = slot t k_route_probe t_s in
-    t.i1.(i) <- flow;
-    t.i2.(i) <- route;
-    t.i3.(i) <- attempt
-
-  let route_restored t ~t_s ~flow ~route ~down_s =
-    let i = slot t k_route_restored t_s in
-    t.i1.(i) <- flow;
-    t.i2.(i) <- route;
-    t.f1.(i) <- down_s
-
-  let price_reset t ~t_s ~link =
-    let i = slot t k_price_reset t_s in
-    t.i1.(i) <- link
-
-  let ecn_mark t ~t_s ~link ~flow ~seq ~occ =
-    let i = slot t k_ecn_mark t_s in
-    t.i1.(i) <- link;
-    t.i2.(i) <- flow;
-    t.i3.(i) <- seq;
-    t.i4.(i) <- occ
-
-  let boxed_event t tag ev =
-    let i = slot t tag (Trace.time ev) in
-    t.boxed.(i) <- Some ev
-
-  let event t ev =
-    match ev with
-    | Trace.Enqueue { t = t_s; link; flow; seq; bytes; qlen } ->
-      enqueue t ~t_s ~link ~flow ~seq ~bytes ~qlen
-    | Trace.Mac_grant { t = t_s; link; flow; seq; collided; airtime } ->
-      grant t ~t_s ~link ~flow ~seq ~collided ~airtime
-    | Trace.Dequeue { t = t_s; link; flow; seq } -> dequeue t ~t_s ~link ~flow ~seq
-    | Trace.Collision { t = t_s; link; flow; seq } ->
-      collision t ~t_s ~link ~flow ~seq
-    | Trace.Drop { t = t_s; link; flow; seq; reason } ->
-      drop t ~t_s ~link ~flow ~seq ~reason
-    | Trace.Delivery { t = t_s; flow; seq; bytes; delay } ->
-      delivery t ~t_s ~flow ~seq ~bytes ~delay
-    | Trace.Price_update { t = t_s; link; gamma; price = pr } ->
-      price t ~t_s ~link ~gamma ~price:pr
-    | Trace.Rate_update _ -> boxed_event t k_rate ev
-    | Trace.Ack _ -> boxed_event t k_ack ev
-    | Trace.Link_event { t = t_s; link; capacity } ->
-      link_event t ~t_s ~link ~capacity
-    | Trace.Loss_event { t = t_s; link; prob } -> loss_event t ~t_s ~link ~prob
-    | Trace.Ctrl_event { t = t_s; drop; delay } -> ctrl_event t ~t_s ~drop ~delay
-    | Trace.Route_dead { t = t_s; flow; route; detect_s } ->
-      route_dead t ~t_s ~flow ~route ~detect_s
-    | Trace.Route_probe { t = t_s; flow; route; attempt } ->
-      route_probe t ~t_s ~flow ~route ~attempt
-    | Trace.Route_restored { t = t_s; flow; route; down_s } ->
-      route_restored t ~t_s ~flow ~route ~down_s
-    | Trace.Price_reset { t = t_s; link } -> price_reset t ~t_s ~link
-    | Trace.Ecn_mark { t = t_s; link; flow; seq; occ } ->
-      ecn_mark t ~t_s ~link ~flow ~seq ~occ
-
-  let sink t = Trace.of_fn (event t)
 
   let event_of_row t i =
     let t_s = t.time.(i) in
@@ -1021,6 +893,142 @@ module Flight = struct
       | _ -> default_dump_path
     in
     create ~capacity ~dump_path ()
+end
+
+(* One writer per event kind, feeding the ring and the sink (the cost
+   contract is in obs.mli). *)
+module Emit = struct
+  type t = {
+    clock : float array;
+    ring : Flight.t option;
+    sink : Trace.sink option;
+  }
+
+  let create ~clock ?flight ?sink () = { clock; ring = flight; sink }
+  let active e = Option.is_some e.ring || Option.is_some e.sink
+  let armed e = Option.is_some e.ring
+
+  (* One offer to the sink: advances its sampler. *)
+  let keep e = match e.sink with Some s -> Trace.accept s | None -> false
+  let push e ev = match e.sink with Some s -> s.Trace.push_fn ev | None -> ()
+
+  (* A ring row in the column order [Flight.event_of_row] reads back. *)
+  let[@inline] row e tag i1 i2 i3 i4 i5 f1 f2 =
+    match e.ring with
+    | Some r ->
+      let i = Flight.slot r tag e.clock in
+      r.i1.(i) <- i1;
+      r.i2.(i) <- i2;
+      r.i3.(i) <- i3;
+      r.i4.(i) <- i4;
+      r.i5.(i) <- i5;
+      r.f1.(i) <- f1;
+      r.f2.(i) <- f2
+    | None -> ()
+
+  let enqueue e ~link ~flow ~seq ~bytes ~qlen =
+    row e Flight.k_enqueue link flow seq bytes qlen 0.0 0.0;
+    if keep e then
+      push e (Trace.Enqueue { t = e.clock.(0); link; flow; seq; bytes; qlen })
+
+  let grant e ~link ~flow ~seq ~collided ~airtime =
+    row e Flight.k_grant link flow seq (Bool.to_int collided) 0 airtime 0.0;
+    if keep e then
+      push e
+        (Trace.Mac_grant { t = e.clock.(0); link; flow; seq; collided; airtime })
+
+  let dequeue e ~link ~flow ~seq =
+    row e Flight.k_dequeue link flow seq 0 0 0.0 0.0;
+    if keep e then push e (Trace.Dequeue { t = e.clock.(0); link; flow; seq })
+
+  let collision e ~link ~flow ~seq =
+    row e Flight.k_collision link flow seq 0 0 0.0 0.0;
+    if keep e then push e (Trace.Collision { t = e.clock.(0); link; flow; seq })
+
+  let drop e ~link ~flow ~seq ~reason =
+    row e Flight.k_drop link flow seq (Flight.reason_code reason) 0 0.0 0.0;
+    if keep e then
+      let link = if link < 0 then None else Some link in
+      push e (Trace.Drop { t = e.clock.(0); link; flow; seq; reason })
+
+  let delivery e ~flow ~seq ~bytes ~delay =
+    row e Flight.k_delivery flow seq bytes 0 0 delay 0.0;
+    if keep e then
+      push e (Trace.Delivery { t = e.clock.(0); flow; seq; bytes; delay })
+
+  let price e ~links ~gamma ~price =
+    for k = 0 to Array.length links - 1 do
+      let link = links.(k) in
+      let kept = keep e in
+      if kept || armed e then begin
+        let g = gamma.(link) and p = price link in
+        row e Flight.k_price link 0 0 0 0 g p;
+        if kept then
+          push e (Trace.Price_update { t = e.clock.(0); link; gamma = g; price = p })
+      end
+    done
+
+  (* The two array-carrying kinds build their event once, for the ring
+     and the sink alike, and only when one of them records it. *)
+  let boxed e tag kept ev =
+    (match e.ring with
+    | Some r -> r.boxed.(Flight.slot r tag e.clock) <- Some ev
+    | None -> ());
+    if kept then push e ev
+
+  let rate e ~flow rates =
+    let kept = keep e in
+    if kept || armed e then
+      boxed e Flight.k_rate kept
+        (Trace.Rate_update { t = e.clock.(0); flow; rates = Array.copy rates })
+
+  let ack e ~flow reports ~qr ~bytes =
+    let kept = keep e in
+    if kept || armed e then
+      boxed e Flight.k_ack kept
+        (Trace.Ack
+           {
+             t = e.clock.(0);
+             flow;
+             qr = Array.of_list (List.map qr reports);
+             bytes = Array.of_list (List.map bytes reports);
+           })
+
+  let link_event e ~link ~capacity =
+    row e Flight.k_link link 0 0 0 0 capacity 0.0;
+    if keep e then push e (Trace.Link_event { t = e.clock.(0); link; capacity })
+
+  let loss_event e ~link ~prob =
+    row e Flight.k_loss link 0 0 0 0 prob 0.0;
+    if keep e then push e (Trace.Loss_event { t = e.clock.(0); link; prob })
+
+  let ctrl_event e ~drop ~delay =
+    row e Flight.k_ctrl 0 0 0 0 0 drop delay;
+    if keep e then push e (Trace.Ctrl_event { t = e.clock.(0); drop; delay })
+
+  let route_dead e ~flow ~route ~detect_s =
+    row e Flight.k_route_dead flow route 0 0 0 detect_s 0.0;
+    if keep e then
+      push e (Trace.Route_dead { t = e.clock.(0); flow; route; detect_s })
+
+  let route_probe e ~flow ~route ~attempt =
+    row e Flight.k_route_probe flow route attempt 0 0 0.0 0.0;
+    if keep e then
+      push e (Trace.Route_probe { t = e.clock.(0); flow; route; attempt })
+
+  let route_restored e ~flow ~route ~down_s =
+    row e Flight.k_route_restored flow route 0 0 0 down_s 0.0;
+    if keep e then
+      push e (Trace.Route_restored { t = e.clock.(0); flow; route; down_s })
+
+  let price_reset e ~link =
+    row e Flight.k_price_reset link 0 0 0 0 0.0 0.0;
+    if keep e then push e (Trace.Price_reset { t = e.clock.(0); link })
+
+  let ecn_mark e ~link ~flow ~seq ~occ =
+    row e Flight.k_ecn_mark link flow seq occ 0 0.0 0.0;
+    if keep e then
+      push e (Trace.Ecn_mark { t = e.clock.(0); link; flow; seq; occ })
 end
 
 (* Hot-path profiler: wall clock + GC minor words attributed to the

@@ -18,7 +18,10 @@
       ({!Trace.encode} / {!Trace.decode}) whose schema is documented
       below. [Engine.run ~trace:sink] streams every event into the
       sink; [empower_eval trace <scenario> --out t.jsonl] does it
-      from the command line.
+      from the command line. The engine writes each event once,
+      through an {!Emit} handle whose per-kind writers feed both the
+      sink and the {!Flight} ring, building an event record only for
+      offers the sink's sampling keeps.
     - {!Metrics} — a name-keyed registry of counters, gauges,
       windowed time series and streaming histograms, populated from
       the same events by a {!Recorder}, or directly by harness code.
@@ -191,19 +194,9 @@ module Trace : sig
 
   val emit : sink -> event -> unit
   (** Offer one event: delivered iff the sink's sampling accepts it
-      (always, for an unsampled sink). *)
-
-  val accept : sink -> bool
-  (** Advance the sink's sampling decision by one offer and return
-      whether that offer would be delivered. Hot emitters use
-      [if accept s then push s ev] so the event record itself is never
-      built for discarded offers; [emit s ev] is equivalent to
-      [if accept s then push s ev]. Each offer must use exactly one
-      [accept] (or one [emit]) — mixing both for the same event
-      double-advances the sampler. *)
-
-  val push : sink -> event -> unit
-  (** Deliver unconditionally — only after [accept] returned [true]. *)
+      (always, for an unsampled sink). The engine offers its events
+      through {!Emit} instead, which builds an event only for offers
+      the sampling keeps. *)
 
   val sampled : every:int -> sink -> sink
   (** [sampled ~every s] delivers offers [1, every+1, 2*every+1, ...]
@@ -249,19 +242,19 @@ end
 (** Always-on flight recorder: the last [capacity] trace events in a
     pre-allocated struct-of-arrays ring.
 
-    Recording a datapath event stores its tag, time and scalar fields
-    into fixed [int array] / [float array] columns — no event record
-    is constructed, nothing grows, so the ring is cheap enough to
-    leave attached to every run (see [flight_overhead_pct] in
-    BENCH_sim.json; the only boxed writes are the two array-carrying
-    control-plane kinds, {!Trace.Rate_update} and {!Trace.Ack}, a few
-    per control period). {!Engine.run} accepts a recorder via
-    [?flight] or creates one itself when the [EMPOWER_FLIGHT]
-    environment variable is set, and dumps the ring to JSONL
-    automatically when an invariant trips or any exception escapes
-    the event loop; [empower_eval chaos --flight] does the same when a
-    chaos run regresses. Dumps decode strictly with {!Trace.decode}
-    and replay with {!Summary.of_file}. *)
+    The ring is written through an {!Emit} handle: recording an event
+    stores its tag, time and scalar fields into fixed [int array] /
+    [float array] columns — no event record is constructed, nothing
+    grows, so the ring is cheap enough to leave attached to every run
+    (see [flight_overhead_pct] in BENCH_sim.json; the only boxed
+    writes are the two array-carrying control-plane kinds,
+    {!Trace.Rate_update} and {!Trace.Ack}, a few per control period).
+    {!Engine.run} accepts a recorder via [?flight] or creates one
+    itself when the [EMPOWER_FLIGHT] environment variable is set, and
+    dumps the ring to JSONL automatically when an invariant trips or
+    any exception escapes the event loop; [empower_eval chaos
+    --flight] does the same when a chaos run regresses. Dumps decode
+    strictly with {!Trace.decode} and replay with {!Summary.of_file}. *)
 module Flight : sig
   type t
 
@@ -284,53 +277,6 @@ module Flight : sig
 
   val clear : t -> unit
 
-  val event : t -> Trace.event -> unit
-  (** Record one already-built event (generic path). *)
-
-  (** Flat per-kind recorders — scalar stores only, used by the engine
-      so the skipped event record is never allocated. *)
-
-  val enqueue :
-    t -> t_s:float -> link:int -> flow:int -> seq:int -> bytes:int -> qlen:int -> unit
-
-  val grant :
-    t ->
-    t_s:float -> link:int -> flow:int -> seq:int -> collided:bool -> airtime:float -> unit
-
-  val dequeue : t -> t_s:float -> link:int -> flow:int -> seq:int -> unit
-  val collision : t -> t_s:float -> link:int -> flow:int -> seq:int -> unit
-
-  val drop :
-    t ->
-    t_s:float ->
-    link:int option -> flow:int -> seq:int -> reason:Trace.drop_reason -> unit
-
-  val delivery :
-    t -> t_s:float -> flow:int -> seq:int -> bytes:int -> delay:float -> unit
-
-  val price : t -> t_s:float -> link:int -> gamma:float -> price:float -> unit
-  val link_event : t -> t_s:float -> link:int -> capacity:float -> unit
-  val loss_event : t -> t_s:float -> link:int -> prob:float -> unit
-  val ctrl_event : t -> t_s:float -> drop:float -> delay:float -> unit
-
-  val route_dead :
-    t -> t_s:float -> flow:int -> route:int -> detect_s:float -> unit
-
-  val route_probe :
-    t -> t_s:float -> flow:int -> route:int -> attempt:int -> unit
-
-  val route_restored :
-    t -> t_s:float -> flow:int -> route:int -> down_s:float -> unit
-
-  val price_reset : t -> t_s:float -> link:int -> unit
-
-  val ecn_mark :
-    t -> t_s:float -> link:int -> flow:int -> seq:int -> occ:int -> unit
-
-  val sink : t -> Trace.sink
-  (** The recorder as an ordinary (unsampled) sink, for harnesses that
-      already hold constructed events. *)
-
   val events : t -> Trace.event list
   (** Ring contents, oldest first (decoded back into event records —
       allocates; meant for dump/inspection time). *)
@@ -349,6 +295,67 @@ module Flight : sig
   (** A recorder configured from the environment: capacity from
       [EMPOWER_FLIGHT] when it parses as an int > 1 (default
       {!default_capacity}), dump path from [EMPOWER_FLIGHT_DUMP]. *)
+end
+
+(** The single emission path for a run's events: one writer per
+    event kind, each writing its event once to both observers. A
+    writer stores the ring row when a {!Flight} ring is armed and,
+    when the sink's sampling accepts the offer, builds the
+    {!Trace.event} from the same arguments and delivers it. Every call
+    is one offer: a sampled sink counts it whether or not it keeps
+    it, and the ring records it either way.
+
+    Cost contract: the event time is read from the [clock] given to
+    {!create} and float fields arrive already boxed, so a kept event
+    allocates its record and boxes its timestamp, a ring row
+    allocates nothing (the array-carrying {!Trace.Rate_update} and
+    {!Trace.Ack} excepted), and an offer the sampling discards with
+    no ring armed allocates nothing at all. A caller with neither
+    observer tests {!active} once and skips every call. *)
+module Emit : sig
+  type t
+
+  val create : clock:float array -> ?flight:Flight.t -> ?sink:Trace.sink -> unit -> t
+  (** [clock.(0)] is read as each event's time. *)
+
+  val active : t -> bool
+  (** [true] iff a ring or a sink is attached. *)
+
+  val enqueue : t -> link:int -> flow:int -> seq:int -> bytes:int -> qlen:int -> unit
+
+  val grant :
+    t -> link:int -> flow:int -> seq:int -> collided:bool -> airtime:float -> unit
+
+  val dequeue : t -> link:int -> flow:int -> seq:int -> unit
+  val collision : t -> link:int -> flow:int -> seq:int -> unit
+
+  val drop :
+    t -> link:int -> flow:int -> seq:int -> reason:Trace.drop_reason -> unit
+  (** A negative [link] records a drop on no link ([link = None]). *)
+
+  val delivery : t -> flow:int -> seq:int -> bytes:int -> delay:float -> unit
+
+  val price :
+    t -> links:int array -> gamma:float array -> price:(int -> float) -> unit
+  (** One control tick's price updates: one offer per link of [links],
+      in order, carrying [gamma.(l)] and [price l]; both are read only
+      for offers that are recorded. *)
+
+  val rate : t -> flow:int -> float array -> unit
+  (** The rates are copied when the offer is recorded. *)
+
+  val ack : t -> flow:int -> 'r list -> qr:('r -> float) -> bytes:('r -> int) -> unit
+  (** One ACK, from its per-route reports; [qr] and [bytes] project a
+      report and are applied only when the offer is recorded. *)
+
+  val link_event : t -> link:int -> capacity:float -> unit
+  val loss_event : t -> link:int -> prob:float -> unit
+  val ctrl_event : t -> drop:float -> delay:float -> unit
+  val route_dead : t -> flow:int -> route:int -> detect_s:float -> unit
+  val route_probe : t -> flow:int -> route:int -> attempt:int -> unit
+  val route_restored : t -> flow:int -> route:int -> down_s:float -> unit
+  val price_reset : t -> link:int -> unit
+  val ecn_mark : t -> link:int -> flow:int -> seq:int -> occ:int -> unit
 end
 
 (** Hot-path profiler: wall clock and GC minor words attributed to

@@ -195,9 +195,13 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
   in
   (* Observability: an explicit sink wins; otherwise a process-global
      metrics registry (--metrics / EMPOWER_METRICS) attaches a
-     recorder. Sinks only observe — they consume no randomness and
-     mutate no engine state, so results are identical either way; with
-     no sink every emission site is a single branch on [trace_on]. *)
+     recorder. The flight ring is the explicit argument or, ambient via
+     EMPOWER_FLIGHT, the always-on crash recorder; it is dumped to
+     JSONL when an invariant trips or any other exception escapes the
+     event loop. Both only observe — they consume no randomness and
+     mutate no engine state — so results are bit-identical with or
+     without them. Events reach both through one [Obs.Emit] handle
+     (built below, once the clock exists). *)
   let recorder =
     match trace with
     | Some _ -> None
@@ -207,31 +211,12 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
       | None -> None)
   in
   let trace =
-    match (trace, recorder) with
-    | (Some _ as t), _ -> t
-    | None, Some r -> Some (Obs.Recorder.sink r)
-    | None, None -> None
+    match recorder with Some r -> Some (Obs.Recorder.sink r) | None -> trace
   in
-  let trace_on = Option.is_some trace in
-  (* Hot emission sites use the two-step [accept]/[push] protocol on
-     this sink so a sampled sink ([Trace.sampled]) skips even the
-     construction of the event record for discarded offers; [emit]
-     stays for cold (per-control-tick or rarer) sites. *)
-  let sink = match trace with Some s -> s | None -> Obs.Trace.of_fn ignore in
-  let emit ev = if trace_on then Obs.Trace.emit sink ev in
-  (* Flight recorder: explicit argument, or ambient via EMPOWER_FLIGHT
-     (the always-on crash recorder). Like a sink it only observes —
-     no randomness, no engine state — so results are bit-identical
-     with or without it. On an invariant trip or any other exception
-     escaping the event loop the ring is dumped to JSONL. *)
   let flight =
     match flight with
     | Some _ -> flight
     | None -> if Obs.Flight.env_enabled () then Some (Obs.Flight.of_env ()) else None
-  in
-  let fl_on = Option.is_some flight in
-  let fl =
-    match flight with Some f -> f | None -> Obs.Flight.create ~capacity:1 ()
   in
   (* Live link capacities: start from the graph's and follow the
      scheduled capacity-change / failure events. *)
@@ -253,6 +238,10 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
   let queue_drops = ref 0 in
   let events_processed = ref 0 in
   let now = Array.make 1 0.0 in
+  (* With neither a ring nor a sink every emission site is one
+     never-taken branch on [em_on]. *)
+  let em = Obs.Emit.create ~clock:now ?flight ?sink:trace () in
+  let em_on = Obs.Emit.active em in
   let n_flows = List.length flows in
   if n_flows > Arena.max_flow then
     invalid_arg "Engine.run: too many flows for the event encoding";
@@ -679,6 +668,19 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
     | Some t -> Invariants.on_release t ~now:now.(0) ~flow:f (`Lost seq)
     | None -> ()
   in
+  (* A frame leaves the network undelivered from link [l]. *)
+  let drop_frame l (pkt : packet) reason =
+    inv_drop ~link:(Some l) pkt.flow
+      ~reason:
+        (match reason with
+        | Obs.Trace.Queue_overflow -> Invariants.Queue_overflow
+        | Link_down -> Invariants.Link_down
+        | Misroute -> Invariants.Misroute
+        | Backlog_cleared -> Invariants.Backlog_cleared
+        | Fault_injected -> Invariants.Fault_injected);
+    if em_on then
+      Obs.Emit.drop em ~link:l ~flow:pkt.flow ~seq:pkt.seq ~reason
+  in
 
   (* --- goodput bins --- *)
   let flush_bins_upto f t =
@@ -754,41 +756,21 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
         st.on_air <- None;
         air_clear l;
         incr queue_drops;
-        inv_drop ~link:(Some l) ~reason:Invariants.Link_down pkt.flow;
-        if fl_on then
-          Obs.Flight.drop fl ~t_s:now.(0) ~link:(Some l) ~flow:pkt.flow
-            ~seq:pkt.seq ~reason:Obs.Trace.Link_down;
-        if trace_on && Obs.Trace.accept sink then
-          Obs.Trace.push sink
-            (Obs.Trace.Drop
-               {
-                 t = now.(0);
-                 link = Some l;
-                 flow = pkt.flow;
-                 seq = pkt.seq;
-                 reason = Obs.Trace.Link_down;
-               });
+        drop_frame l pkt Obs.Trace.Link_down;
         try_start l
       end
       else begin
         (* [Units.tx_time] inlined (same expression, so bit-identical):
            a cross-module call with a float argument boxes the
-           argument and the result on every grant. *)
-        let airtime = float_of_int pkt.bytes /. (cap_l *. 1e6 /. 8.0) in
-        if fl_on then
-          Obs.Flight.grant fl ~t_s:now.(0) ~link:l ~flow:pkt.flow
-            ~seq:pkt.seq ~collided:st.air_collided ~airtime;
-        if trace_on && Obs.Trace.accept sink then
-          Obs.Trace.push sink
-            (Obs.Trace.Mac_grant
-               {
-                 t = now.(0);
-                 link = l;
-                 flow = pkt.flow;
-                 seq = pkt.seq;
-                 collided = st.air_collided;
-                 airtime;
-               });
+           argument and the result on every grant. [Sys.opaque_identity]
+           keeps the value boxed once, so [schedule] and the emitter
+           share that box instead of boxing a copy each. *)
+        let airtime =
+          Sys.opaque_identity (float_of_int pkt.bytes /. (cap_l *. 1e6 /. 8.0))
+        in
+        if em_on then
+          Obs.Emit.grant em ~link:l ~flow:pkt.flow ~seq:pkt.seq
+            ~collided:st.air_collided ~airtime;
         schedule airtime (Arena.tx_end l)
       end
     end
@@ -853,20 +835,7 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
     in
     if not admitted then begin
       incr queue_drops;
-      inv_drop ~link:(Some l) ~reason:Invariants.Queue_overflow pkt.flow;
-      if fl_on then
-        Obs.Flight.drop fl ~t_s:now.(0) ~link:(Some l) ~flow:pkt.flow
-          ~seq:pkt.seq ~reason:Obs.Trace.Queue_overflow;
-      if trace_on && Obs.Trace.accept sink then
-        Obs.Trace.push sink
-          (Obs.Trace.Drop
-             {
-               t = now.(0);
-               link = Some l;
-               flow = pkt.flow;
-               seq = pkt.seq;
-               reason = Obs.Trace.Queue_overflow;
-             })
+      drop_frame l pkt Obs.Trace.Queue_overflow
     end
     else begin
       (if buf_on then begin
@@ -880,19 +849,9 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
            if not pkt.ce then begin
              pkt.ce <- true;
              incr ecn_marks;
-             if fl_on then
-               Obs.Flight.ecn_mark fl ~t_s:now.(0) ~link:l ~flow:pkt.flow
-                 ~seq:pkt.seq ~occ:port_occ.(l);
-             if trace_on && Obs.Trace.accept sink then
-               Obs.Trace.push sink
-                 (Obs.Trace.Ecn_mark
-                    {
-                      t = now.(0);
-                      link = l;
-                      flow = pkt.flow;
-                      seq = pkt.seq;
-                      occ = port_occ.(l);
-                    })
+             if em_on then
+               Obs.Emit.ecn_mark em ~link:l ~flow:pkt.flow ~seq:pkt.seq
+                 ~occ:port_occ.(l)
            end
          | _ -> ()
        end);
@@ -901,21 +860,9 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
          wire format's q_r ceiling). *)
       pkt.qr <- Float.min Header.qr_max (pkt.qr +. link_price l);
       Fifo.push st.queue pkt;
-      if fl_on then
-        Obs.Flight.enqueue fl ~t_s:now.(0) ~link:l ~flow:pkt.flow
-          ~seq:pkt.seq ~bytes:pkt.bytes
-          ~qlen:(Fifo.length st.queue);
-      if trace_on && Obs.Trace.accept sink then
-        Obs.Trace.push sink
-          (Obs.Trace.Enqueue
-             {
-               t = now.(0);
-               link = l;
-               flow = pkt.flow;
-               seq = pkt.seq;
-               bytes = pkt.bytes;
-               qlen = Fifo.length st.queue;
-             });
+      if em_on then
+        Obs.Emit.enqueue em ~link:l ~flow:pkt.flow ~seq:pkt.seq
+          ~bytes:pkt.bytes ~qlen:(Fifo.length st.queue);
       try_start l
     end
   in
@@ -1215,22 +1162,12 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
   let release_packet f (pkt : packet) =
     (* Every frame's one-way delay (queueing + transmission along the
        route) lands in a streaming histogram: exact count/mean,
-       quantiles within 0.5% relative error, bounded memory. *)
-    let delay = now.(0) -. pkt.sent_at in
+       quantiles within 0.5% relative error, bounded memory. The
+       histogram and the emitter share one box (see [airtime]). *)
+    let delay = Sys.opaque_identity (now.(0) -. pkt.sent_at) in
     Obs.Metrics.Histogram.observe f.delay_hist delay;
-    if fl_on then
-      Obs.Flight.delivery fl ~t_s:now.(0) ~flow:f.id
-        ~seq:pkt.seq ~bytes:pkt.bytes ~delay;
-    if trace_on && Obs.Trace.accept sink then
-      Obs.Trace.push sink
-        (Obs.Trace.Delivery
-           {
-             t = now.(0);
-             flow = f.id;
-             seq = pkt.seq;
-             bytes = pkt.bytes;
-             delay;
-           });
+    if em_on then
+      Obs.Emit.delivery em ~flow:f.id ~seq:pkt.seq ~bytes:pkt.bytes ~delay;
     Ack.on_packet ~ce:pkt.ce f.collector ~route:pkt.route_idx
       ~qr:pkt.qr ~seq:pkt.seq ~bytes:pkt.bytes;
     flush_bins_upto f now.(0);
@@ -1273,13 +1210,8 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
       air_clear l;
       st.air_collided <- false;
       inv_drop ~link:(Some l) ~reason:Invariants.Collision pkt.flow;
-      if fl_on then
-        Obs.Flight.collision fl ~t_s:now.(0) ~link:l ~flow:pkt.flow
-          ~seq:pkt.seq;
-      if trace_on && Obs.Trace.accept sink then
-        Obs.Trace.push sink
-          (Obs.Trace.Collision
-             { t = now.(0); link = l; flow = pkt.flow; seq = pkt.seq });
+      if em_on then
+        Obs.Emit.collision em ~link:l ~flow:pkt.flow ~seq:pkt.seq;
       try_start_domain l
     | Some pkt when st.air_faulted ->
       (* Fault-injected loss: airtime spent, frame lost. Not a queue
@@ -1287,53 +1219,18 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
       st.on_air <- None;
       air_clear l;
       st.air_faulted <- false;
-      inv_drop ~link:(Some l) ~reason:Invariants.Fault_injected pkt.flow;
-      if fl_on then
-        Obs.Flight.drop fl ~t_s:now.(0) ~link:(Some l) ~flow:pkt.flow
-          ~seq:pkt.seq ~reason:Obs.Trace.Fault_injected;
-      if trace_on && Obs.Trace.accept sink then
-        Obs.Trace.push sink
-          (Obs.Trace.Drop
-             {
-               t = now.(0);
-               link = Some l;
-               flow = pkt.flow;
-               seq = pkt.seq;
-               reason = Obs.Trace.Fault_injected;
-             });
+      drop_frame l pkt Obs.Trace.Fault_injected;
       try_start_domain l
     | Some pkt ->
       st.on_air <- None;
       air_clear l;
-      if fl_on then
-        Obs.Flight.dequeue fl ~t_s:now.(0) ~link:l ~flow:pkt.flow
-          ~seq:pkt.seq;
-      if trace_on && Obs.Trace.accept sink then
-        Obs.Trace.push sink
-          (Obs.Trace.Dequeue
-             { t = now.(0); link = l; flow = pkt.flow; seq = pkt.seq });
+      if em_on then Obs.Emit.dequeue em ~link:l ~flow:pkt.flow ~seq:pkt.seq;
       let f = flow_states.(pkt.flow) in
-      let drop_misroute () =
-        inv_drop ~link:(Some l) ~reason:Invariants.Misroute pkt.flow;
-        if fl_on then
-          Obs.Flight.drop fl ~t_s:now.(0) ~link:(Some l) ~flow:pkt.flow
-            ~seq:pkt.seq ~reason:Obs.Trace.Misroute;
-        if trace_on && Obs.Trace.accept sink then
-          Obs.Trace.push sink
-            (Obs.Trace.Drop
-               {
-                 t = now.(0);
-                 link = Some l;
-                 flow = pkt.flow;
-                 seq = pkt.seq;
-                 reason = Obs.Trace.Misroute;
-               })
-      in
       (* The layer-2.5 source-route decision, pre-resolved at
          bootstrap into the plan array. *)
       let act = plans.(pkt.flow).(pkt.route_idx).(pkt.hop) in
       if act = plan_deliver then deliver_to_destination f pkt
-      else if act = plan_misroute then drop_misroute ()
+      else if act = plan_misroute then drop_frame l pkt Obs.Trace.Misroute
       else begin
         pkt.hop <- pkt.hop + 1;
         enqueue_on_link act pkt
@@ -1350,11 +1247,8 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
      re-discovery, and reclaim probes are armed on the backoff
      schedule. A later ack on the route restores its initial rate. *)
   let on_route_dead f i ~since det rc rrng =
-    let detect_s = now.(0) -. since in
-    if fl_on then
-      Obs.Flight.route_dead fl ~t_s:now.(0) ~flow:f.id ~route:i ~detect_s;
-    if trace_on then
-      emit (Obs.Trace.Route_dead { t = now.(0); flow = f.id; route = i; detect_s });
+    if em_on then
+      Obs.Emit.route_dead em ~flow:f.id ~route:i ~detect_s:(now.(0) -. since);
     let dead_mass = f.x.(i) in
     f.x.(i) <- 0.0;
     f.x_bar.(i) <- 0.0;
@@ -1362,8 +1256,7 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
       (fun l ->
         if caps.(l) <= 0.0 && gamma.(l) > 0.0 then begin
           gamma.(l) <- 0.0;
-          if fl_on then Obs.Flight.price_reset fl ~t_s:now.(0) ~link:l;
-          if trace_on then emit (Obs.Trace.Price_reset { t = now.(0); link = l })
+          if em_on then Obs.Emit.price_reset em ~link:l
         end)
       f.route_links.(i);
     let surv, _flood =
@@ -1398,13 +1291,8 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
       (Arena.reclaim_probe ~flow:f.id ~route:i ~gen:f.reclaim_gen.(i))
   in
   let on_route_restored f i ~down_for =
-    if fl_on then
-      Obs.Flight.route_restored fl ~t_s:now.(0) ~flow:f.id ~route:i
-        ~down_s:down_for;
-    if trace_on then
-      emit
-        (Obs.Trace.Route_restored
-           { t = now.(0); flow = f.id; route = i; down_s = down_for });
+    if em_on then
+      Obs.Emit.route_restored em ~flow:f.id ~route:i ~down_s:down_for;
     (* The γ accumulated around the route while it was down is stale:
        idle estimators under-report capacity, so the reclaim probes
        themselves register as huge airtime demand and spike the duals
@@ -1421,9 +1309,7 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
           (fun l' ->
             if gamma.(l') > 0.0 then begin
               gamma.(l') <- 0.0;
-              if fl_on then Obs.Flight.price_reset fl ~t_s:now.(0) ~link:l';
-              if trace_on then
-                emit (Obs.Trace.Price_reset { t = now.(0); link = l' })
+              if em_on then Obs.Emit.price_reset em ~link:l'
             end)
           (Domain.domain dom l))
       f.route_links.(i);
@@ -1501,19 +1387,7 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
         f.x_bar.(i) <- ((1.0 -. a) *. f.x_bar.(i)) +. (a *. f.x.(i))
       done;
       Alpha.observe f.alpha f.x;
-      (* Boxed kind: construct the event once and share it between the
-         flight ring and the sink; run [accept] exactly once per offer. *)
-      if fl_on || trace_on then begin
-        let keep = trace_on && Obs.Trace.accept sink in
-        if fl_on || keep then begin
-          let ev =
-            Obs.Trace.Rate_update
-              { t = now.(0); flow = f.id; rates = Array.copy f.x }
-          in
-          if fl_on then Obs.Flight.event fl ev;
-          if keep then Obs.Trace.push sink ev
-        end
-      end;
+      if em_on then Obs.Emit.rate em ~flow:f.id f.x;
       (match inv with
       | Some t -> Invariants.on_rate t ~flow:f.id ~rate:(total_rate f)
       | None -> ());
@@ -1534,17 +1408,8 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
       demand.(c) <- bits /. 1e6 *. d_est l /. config.control_period
     done;
     Price.Dual.step dual ~alpha:config.gamma_alpha ~drain:tick_drain;
-    if fl_on || trace_on then
-      Array.iter
-        (fun l ->
-          if fl_on then
-            Obs.Flight.price fl ~t_s:now.(0) ~link:l ~gamma:gamma.(l)
-              ~price:(link_price l);
-          if trace_on && Obs.Trace.accept sink then
-            Obs.Trace.push sink
-              (Obs.Trace.Price_update
-                 { t = now.(0); link = l; gamma = gamma.(l); price = link_price l }))
-        (Price.Dual.priced dual);
+    if em_on then
+      Obs.Emit.price em ~links:(Price.Dual.priced dual) ~gamma ~price:link_price;
     (* 2. Capacity estimation (only carriers are ever priced or
        transmitted on, so only they need tracking). *)
     if config.estimate_capacities then
@@ -1561,32 +1426,10 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
       (fun f ->
         if f.active then begin
           let ack = Ack.emit f.collector ~now:now.(0) in
-          (* Boxed kind: construct once, share between flight ring and
-             sink; run [accept] exactly once per offer. *)
-          if fl_on || trace_on then begin
-            let keep = trace_on && Obs.Trace.accept sink in
-            if fl_on || keep then begin
-              let ev =
-                Obs.Trace.Ack
-                  {
-                    t = now.(0);
-                    flow = f.id;
-                    qr =
-                      Array.of_list
-                        (List.map
-                           (fun (r : Ack.route_report) -> r.Ack.qr)
-                           ack.Ack.reports);
-                    bytes =
-                      Array.of_list
-                        (List.map
-                           (fun (r : Ack.route_report) -> r.Ack.bytes)
-                           ack.Ack.reports);
-                  }
-              in
-              if fl_on then Obs.Flight.event fl ev;
-              if keep then Obs.Trace.push sink ev
-            end
-          end;
+          if em_on then
+            Obs.Emit.ack em ~flow:f.id ack.Ack.reports
+              ~qr:(fun r -> r.Ack.qr)
+              ~bytes:(fun r -> r.Ack.bytes);
           (* Control-plane faults: the report may be dropped (that
              window's q_r observations are simply gone, as on a real
              lossy reverse path) or delayed. The draw happens only
@@ -1623,10 +1466,7 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
       in
       let was_dead = caps.(l) <= 0.0 in
       caps.(l) <- Float.max 0.0 c;
-      if fl_on then
-        Obs.Flight.link_event fl ~t_s:now.(0) ~link:l ~capacity:caps.(l);
-      if trace_on then
-        emit (Obs.Trace.Link_event { t = now.(0); link = l; capacity = caps.(l) });
+      if em_on then Obs.Emit.link_event em ~link:l ~capacity:caps.(l);
       (* A dead link drops its backlog; a healthier one may start. *)
       if caps.(l) <= 0.0 then begin
         let st = links.(l) in
@@ -1636,20 +1476,7 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
         Fifo.iter
           (fun p ->
             if buf_on then buf_release l p.bytes;
-            inv_drop ~link:(Some l) ~reason:Invariants.Backlog_cleared p.flow;
-            if fl_on then
-              Obs.Flight.drop fl ~t_s:now.(0) ~link:(Some l) ~flow:p.flow
-                ~seq:p.seq ~reason:Obs.Trace.Backlog_cleared;
-            if trace_on && Obs.Trace.accept sink then
-              Obs.Trace.push sink
-                (Obs.Trace.Drop
-                   {
-                     t = now.(0);
-                     link = Some l;
-                     flow = p.flow;
-                     seq = p.seq;
-                     reason = Obs.Trace.Backlog_cleared;
-                   }))
+            drop_frame l p Obs.Trace.Backlog_cleared)
           st.queue;
         Fifo.clear st.queue
       end
@@ -1670,9 +1497,7 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
             (fun l' ->
               if gamma.(l') > 0.0 then begin
                 gamma.(l') <- 0.0;
-                if fl_on then Obs.Flight.price_reset fl ~t_s:now.(0) ~link:l';
-                if trace_on then
-                  emit (Obs.Trace.Price_reset { t = now.(0); link = l' })
+                if em_on then Obs.Emit.price_reset em ~link:l'
               end)
             (Domain.domain dom l);
           (* The capacity estimate is just as stale as the price: it
@@ -1696,9 +1521,7 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
         p
       in
       loss.(l) <- p;
-      if fl_on then Obs.Flight.loss_event fl ~t_s:now.(0) ~link:l ~prob:p;
-      if trace_on then
-        emit (Obs.Trace.Loss_event { t = now.(0); link = l; prob = p })
+      if em_on then Obs.Emit.loss_event em ~link:l ~prob:p
     | 12 (* Ctrl_change *) ->
       let p, d =
         let slot = Arena.slot4 code in
@@ -1708,9 +1531,7 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
       in
       ctrl_drop.(0) <- p;
       ctrl_delay.(0) <- d;
-      if fl_on then Obs.Flight.ctrl_event fl ~t_s:now.(0) ~drop:p ~delay:d;
-      if trace_on then
-        emit (Obs.Trace.Ctrl_event { t = now.(0); drop = p; delay = d })
+      if em_on then Obs.Emit.ctrl_event em ~drop:p ~delay:d
     | 1 (* Inject *) -> (
       let f = flow_states.(Arena.flow_wide code) in
       match f.spec.transport with
@@ -1776,13 +1597,9 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
           ~seq:(f.next_seq land 0xFFFFFFFF);
         f.next_seq <- f.next_seq + 1;
         f.sent_bytes <- f.sent_bytes + config.frame_bytes;
-        if fl_on then
-          Obs.Flight.route_probe fl ~t_s:now.(0) ~flow:fid ~route:i
+        if em_on then
+          Obs.Emit.route_probe em ~flow:fid ~route:i
             ~attempt:f.reclaim_attempt.(i);
-        if trace_on then
-          emit
-            (Obs.Trace.Route_probe
-               { t = now.(0); flow = fid; route = i; attempt = f.reclaim_attempt.(i) });
         f.reclaim_attempt.(i) <- f.reclaim_attempt.(i) + 1;
         schedule
           (Recovery.Backoff.delay rc rrng ~attempt:f.reclaim_attempt.(i))
@@ -1914,15 +1731,18 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
   (* A flight-enabled run that dies dumps the ring before re-raising:
      every escaped exception — invariant violations included — becomes
      a replayable JSONL artifact. *)
-  (try loop ()
-   with e when fl_on ->
-     let bt = Printexc.get_raw_backtrace () in
-     (match Obs.Flight.dump fl with
-     | Ok (path, n) ->
-       Printf.eprintf "[flight] %s: dumped last %d events to %s\n%!"
-         (Printexc.to_string e) n path
-     | Error msg -> Printf.eprintf "[flight] dump failed: %s\n%!" msg);
-     Printexc.raise_with_backtrace e bt);
+  (match flight with
+  | None -> loop ()
+  | Some ring -> (
+    try loop ()
+    with e ->
+      let bt = Printexc.get_raw_backtrace () in
+      (match Obs.Flight.dump ring with
+      | Ok (path, n) ->
+        Printf.eprintf "[flight] %s: dumped last %d events to %s\n%!"
+          (Printexc.to_string e) n path
+      | Error msg -> Printf.eprintf "[flight] dump failed: %s\n%!" msg);
+      Printexc.raise_with_backtrace e bt));
   let wall_s = Sys.time () -. wall_start in
   now.(0) <- duration;
   (match recorder with

@@ -282,25 +282,33 @@ val run :
     enqueue/grant/dequeue/collision/drop/delivery, price and rate
     updates, ACK emissions, link capacity changes). A sink only
     observes: it consumes no randomness and mutates no engine state,
-    so results are bit-identical with and without one, and with no
-    sink each emission site is a single never-taken branch (no event
-    values are allocated). Without an explicit sink, an installed
-    {!Obs.Runtime} metrics registry (the harness's [--metrics] flag,
-    or the [EMPOWER_METRICS] environment variable) attaches an
-    {!Obs.Recorder} for the duration of the run. A sampled sink
-    ({!Obs.Trace.sampled}) is honoured cheaply: the engine asks
-    {!Obs.Trace.accept} before constructing an event record, so
-    sampled-out offers cost one branch and one counter decrement.
+    so results are bit-identical with and without one. Without an
+    explicit sink, an installed {!Obs.Runtime} metrics registry (the
+    harness's [--metrics] flag, or the [EMPOWER_METRICS] environment
+    variable) attaches an {!Obs.Recorder} for the duration of the
+    run. Every event is written once, through one {!Obs.Emit} handle
+    that serves both the sink and the flight ring: with neither
+    attached each emission site is a single never-taken branch, and
+    a sampled sink ({!Obs.Trace.sampled}) is honoured cheaply — an
+    event record is built only for offers the sampling keeps, so a
+    sampled-out offer costs one call and one counter decrement and
+    allocates nothing.
 
     {b Flight recorder.} Passing [~flight:ring] (or setting the
     [EMPOWER_FLIGHT] environment variable — see {!Obs.Flight.of_env})
     records every trace event into a pre-allocated fixed-capacity
-    ring with no per-event allocation. Like a sink it only observes,
-    so results stay bit-identical. If any exception escapes the event
-    loop — an {!Invariants.Violation} included — the ring is dumped
-    to JSONL ({!Obs.Flight.dump}) before the exception is re-raised
-    with its original backtrace, making every mid-run failure a
-    replayable artifact.
+    ring, through the same {!Obs.Emit} writers as the sink: a row per
+    event, with no per-event allocation beyond the two array-carrying
+    control-plane kinds. The ring sees every offer whatever the
+    sink's sampling, and with an unsampled sink it holds exactly the
+    events the sink receives. Like a sink it only observes, so results
+    stay bit-identical and the trace is the same with or without it.
+    If any exception escapes the event loop — an
+    {!Invariants.Violation} included — that ring (and only a ring the
+    run was given or took from the environment) is dumped to JSONL
+    ({!Obs.Flight.dump}) before the exception is re-raised with its
+    original backtrace, making every mid-run failure a replayable
+    artifact.
 
     {b Profiling.} Passing [~prof:p] brackets every handled event
     with {!Obs.Prof.enter}/{!Obs.Prof.leave}, attributing wall time

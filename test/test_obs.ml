@@ -1,8 +1,9 @@
 (* Tests for the observability layer (lib/obs): the JSON codec, the
    event round-trip across every variant, the streaming histogram, the
    metrics registry, the recorder's aggregation against the engine's
-   own accounting, the trace-on/trace-off determinism contract and the
-   strict JSONL file reader. *)
+   own accounting, the trace-on/trace-off determinism contract, the
+   strict JSONL file reader, and the byte identity of the engine's
+   trace (pinned digests, ring = sink, sampled-out offers free). *)
 
 let check_float ?(eps = 1e-9) msg expected actual =
   if Float.abs (expected -. actual) > eps then
@@ -429,9 +430,13 @@ let test_sampled_systematic () =
   let sink2, got2 = Obs.Trace.collector () in
   let s2 = Obs.Trace.sampled ~every:2 (Obs.Trace.sampled ~every:3 sink2) in
   Alcotest.(check int) "periods multiply" 6 (Obs.Trace.sample_period s2);
+  (* Through an emission handle, the engine's path: every writer call
+     is one offer. *)
+  let clock = [| 0.0 |] in
+  let em = Obs.Emit.create ~clock ~sink:s2 () in
   for i = 1 to 12 do
-    (* The accept/push split the engine's hot sites use. *)
-    if Obs.Trace.accept s2 then Obs.Trace.push s2 (ev i)
+    clock.(0) <- float_of_int i;
+    Obs.Emit.price_reset em ~link:i
   done;
   let kept2 =
     List.map
@@ -516,11 +521,58 @@ let rec last_n n xs =
   let len = List.length xs in
   if len <= n then xs else last_n n (List.tl xs)
 
+(* Offer an event through the writer of its kind, with the clock set
+   to the event's time. *)
+let emit_event em clock ev =
+  let open Obs.Trace in
+  clock.(0) <- time ev;
+  match ev with
+  | Enqueue { link; flow; seq; bytes; qlen; _ } ->
+    Obs.Emit.enqueue em ~link ~flow ~seq ~bytes ~qlen
+  | Mac_grant { link; flow; seq; collided; airtime; _ } ->
+    Obs.Emit.grant em ~link ~flow ~seq ~collided ~airtime
+  | Dequeue { link; flow; seq; _ } -> Obs.Emit.dequeue em ~link ~flow ~seq
+  | Collision { link; flow; seq; _ } -> Obs.Emit.collision em ~link ~flow ~seq
+  | Drop { link; flow; seq; reason; _ } ->
+    Obs.Emit.drop em ~link:(Option.value link ~default:(-1)) ~flow ~seq ~reason
+  | Delivery { flow; seq; bytes; delay; _ } ->
+    Obs.Emit.delivery em ~flow ~seq ~bytes ~delay
+  | Price_update { link; gamma; price; _ } ->
+    Obs.Emit.price em ~links:[| link |]
+      ~gamma:(Array.init (link + 1) (fun _ -> gamma))
+      ~price:(fun _ -> price)
+  | Rate_update { flow; rates; _ } -> Obs.Emit.rate em ~flow rates
+  | Ack { flow; qr; bytes; _ } ->
+    Obs.Emit.ack em ~flow
+      (List.init (Array.length qr) Fun.id)
+      ~qr:(Array.get qr) ~bytes:(Array.get bytes)
+  | Link_event { link; capacity; _ } -> Obs.Emit.link_event em ~link ~capacity
+  | Loss_event { link; prob; _ } -> Obs.Emit.loss_event em ~link ~prob
+  | Ctrl_event { drop; delay; _ } -> Obs.Emit.ctrl_event em ~drop ~delay
+  | Route_dead { flow; route; detect_s; _ } ->
+    Obs.Emit.route_dead em ~flow ~route ~detect_s
+  | Route_probe { flow; route; attempt; _ } ->
+    Obs.Emit.route_probe em ~flow ~route ~attempt
+  | Route_restored { flow; route; down_s; _ } ->
+    Obs.Emit.route_restored em ~flow ~route ~down_s
+  | Price_reset { link; _ } -> Obs.Emit.price_reset em ~link
+  | Ecn_mark { link; flow; seq; occ; _ } ->
+    Obs.Emit.ecn_mark em ~link ~flow ~seq ~occ
+
+let record_all fl ?sink events =
+  let clock = [| 0.0 |] in
+  let em = Obs.Emit.create ~clock ~flight:fl ?sink () in
+  List.iter (emit_event em clock) events
+
 let test_flight_fidelity () =
-  (* The struct-of-arrays ring reproduces every kind bit-exactly. *)
+  (* Every writer builds its kind bit-exactly for the sink, and the
+     struct-of-arrays ring reproduces it. *)
   let n = List.length all_event_variants in
   let fl = Obs.Flight.create ~capacity:n () in
-  List.iter (Obs.Flight.event fl) all_event_variants;
+  let sink, got = Obs.Trace.collector () in
+  record_all fl ~sink all_event_variants;
+  if got () <> all_event_variants then
+    Alcotest.fail "writers do not build the offered events";
   if Obs.Flight.events fl <> all_event_variants then
     Alcotest.fail "ring does not reproduce the recorded events";
   Alcotest.(check int) "recorded" n (Obs.Flight.recorded fl);
@@ -532,7 +584,7 @@ let test_flight_wraparound () =
   let n = List.length all_event_variants in
   let cap = 8 in
   let fl = Obs.Flight.create ~capacity:cap () in
-  List.iter (Obs.Flight.event fl) all_event_variants;
+  record_all fl all_event_variants;
   Alcotest.(check int) "recorded counts every offer" n (Obs.Flight.recorded fl);
   let expect = last_n cap all_event_variants in
   if Obs.Flight.events fl <> expect then
@@ -587,6 +639,208 @@ let test_flight_invariant_dump () =
         let s = Obs.Summary.of_events ~duration:3.0 evs in
         Alcotest.(check int) "replay folds every dumped line"
           (List.length evs) s.Obs.Summary.events)
+
+(* ---------- trace byte identity ---------- *)
+
+(* Five seeded runs that together emit every event kind. Each takes
+   the sink to trace into and an optional flight ring. [mini] and
+   [failure] rebuild the [Tracing] scenarios of the same names (the
+   digests below prove they are the same runs). *)
+let testbed_flow net ~src ~dst =
+  Runner.flow_spec ~src ~dst (Runner.routes_and_rates net Schemes.Empower ~src ~dst)
+
+let mini_run ?flight sink =
+  let net = Runner.network (Residential.generate (Rng.create 77)) Schemes.Empower in
+  ignore
+    (Engine.run ~trace:sink ?flight (Rng.create 1) net.Empower.g net.Empower.dom
+       ~flows:[ testbed_flow net ~src:0 ~dst:9 ]
+       ~duration:1.0)
+
+let failure_run ?flight sink =
+  let net = Runner.network (Testbed.generate (Rng.create 4242)) Schemes.Empower in
+  let flow = testbed_flow net ~src:0 ~dst:12 in
+  let l = List.hd (List.hd flow.Engine.routes).Paths.links in
+  let compiled =
+    Fault.compile net.Empower.g
+      [
+        Fault.Link_down { at = 3.0; link = l };
+        Fault.Link_up
+          { at = 4.5; link = l; capacity = Multigraph.capacity net.Empower.g l };
+      ]
+  in
+  ignore
+    (Engine.run ~trace:sink ?flight ~link_events:compiled.Fault.link_events
+       (Rng.create 2) net.Empower.g net.Empower.dom ~flows:[ flow ] ~duration:6.0)
+
+let chaos_run ?flight sink =
+  ignore
+    (Chaos.run ~trace:sink ?flight ~intensity:Fault.Gen.Severing ~recovery:true
+       ~duration:8.0 ~seed:13 ())
+
+let one_link_net capacity =
+  let g = Multigraph.create ~n_nodes:2 ~n_techs:1 ~edges:[ (0, 1, 0, capacity) ] in
+  let flow rate =
+    {
+      Engine.src = 0;
+      dst = 1;
+      routes = [ Paths.of_links g [ 0 ] ];
+      init_rates = [ rate ];
+      workload = Workload.Saturated;
+      transport = Engine.Udp;
+      tcp_params = None;
+      start_time = 0.0;
+      stop_time = None;
+    }
+  in
+  (g, Domain.single_domain_per_tech g, flow)
+
+(* A loss window plus a control-plane fault window on one link. *)
+let loss_run ?flight sink =
+  let g, dom, flow = one_link_net 20.0 in
+  ignore
+    (Engine.run
+       ~config:{ Engine.default_config with enable_cc = false }
+       ~trace:sink ?flight
+       ~loss_events:[ (2.0, 0, 1.0); (4.0, 0, 0.0) ]
+       ~ctrl_events:[ (3.0, 0.5, 0.01); (5.0, 0.0, 0.0) ]
+       (Rng.create 32) g dom ~flows:[ flow 8.0 ] ~duration:8.0)
+
+(* A shared buffer pool small enough to reject and CE-mark frames. *)
+let ecn_run ?flight sink =
+  let g, dom, flow = one_link_net 5.0 in
+  let fb = Engine.default_config.Engine.frame_bytes in
+  let config =
+    {
+      Engine.default_config with
+      enable_cc = false;
+      buffers =
+        Some
+          {
+            Engine.policy = Engine.Dynamic_threshold 1.0;
+            pool_bytes = 4 * fb;
+            ecn_threshold_bytes = Some (2 * fb);
+          };
+    }
+  in
+  ignore
+    (Engine.run ~config ~trace:sink ?flight (Rng.create 8) g dom
+       ~flows:[ flow 50.0 ] ~duration:5.0)
+
+let tracing_run name sink =
+  match Tracing.find name with
+  | Some sc -> ignore (sc.Tracing.exec ~trace:sink ())
+  | None -> Alcotest.failf "trace scenario %s missing" name
+
+type pinned = {
+  name : string;
+  traced : Obs.Trace.sink -> unit;  (** the run as the harness makes it *)
+  run : ?flight:Obs.Flight.t -> Obs.Trace.sink -> unit;
+  full : string * int;  (** JSONL digest and line count *)
+  every16 : string * int;  (** the same under [sampled ~every:16] *)
+}
+
+let pinned_runs =
+  [
+    { name = "mini"; traced = tracing_run "mini"; run = mini_run;
+      full = ("f5638e9c39764c45d4c5196d48b165b9", 7646);
+      every16 = ("95bb0d9075a38a31cb1340444ca9dd33", 478) };
+    { name = "failure"; traced = tracing_run "failure"; run = failure_run;
+      full = ("77297c248ab42027f8973a26d3503bad", 59765);
+      every16 = ("6e5b6e5f02910b826682f76414e14226", 3736) };
+    { name = "chaos severed"; traced = (fun s -> chaos_run s); run = chaos_run;
+      full = ("6e1c080a1c9046bfc8d27027a17291d3", 86333);
+      every16 = ("49c697d483c888f30e53b166912efca4", 5396) };
+    { name = "loss window"; traced = (fun s -> loss_run s); run = loss_run;
+      full = ("0308bccb0ceb181863a0d5f1cdb8dd29", 2741);
+      every16 = ("bf1398662beef39f93f9da2ecc86115a", 172) };
+    { name = "buffered ecn"; traced = (fun s -> ecn_run s); run = ecn_run;
+      full = ("fc80974e737d9e257f7bc60ec149c0db", 3796);
+      every16 = ("f52a248b4a56515eb57cd5d465d9fcdd", 238) };
+  ]
+
+(* Digest and line count of the events' JSONL, byte for byte as
+   [Trace.to_channel] writes it. *)
+let jsonl_digest evs =
+  let buf = Buffer.create 65536 in
+  List.iter
+    (fun ev ->
+      Buffer.add_string buf (Obs.Trace.encode ev);
+      Buffer.add_char buf '\n')
+    evs;
+  (Digest.to_hex (Digest.string (Buffer.contents buf)), List.length evs)
+
+let check_pin name (digest, lines) evs =
+  let got_digest, got_lines = jsonl_digest evs in
+  if (digest, lines) <> (got_digest, got_lines) then
+    Alcotest.failf "%s: JSONL digest %s (%d lines), pinned %s (%d lines)" name
+      got_digest got_lines digest lines
+
+let test_trace_digests () =
+  let kinds = Hashtbl.create 17 in
+  List.iter
+    (fun p ->
+      let sink, got = Obs.Trace.collector () in
+      p.traced sink;
+      check_pin p.name p.full (got ());
+      List.iter (fun ev -> Hashtbl.replace kinds (Obs.Trace.kind ev) ()) (got ());
+      let sink, got = Obs.Trace.collector () in
+      p.traced (Obs.Trace.sampled ~every:16 sink);
+      check_pin (p.name ^ " sampled 1-in-16") p.every16 (got ()))
+    pinned_runs;
+  List.iter
+    (fun k ->
+      if not (Hashtbl.mem kinds k) then
+        Alcotest.failf "no pinned run emits %S events" k)
+    Obs.Trace.kinds
+
+let test_ring_equals_sink () =
+  (* With both a ring and a sink armed, the ring holds exactly what an
+     unsampled sink collects; a sampled sink thins only the sink. *)
+  List.iter
+    (fun p ->
+      let n = snd p.full in
+      let ring = Obs.Flight.create ~capacity:n () in
+      let sink, got = Obs.Trace.collector () in
+      p.run ~flight:ring sink;
+      check_pin (p.name ^ " with a ring") p.full (got ());
+      if Obs.Flight.events ring <> got () then
+        Alcotest.failf "%s: ring and sink disagree" p.name;
+      let ring = Obs.Flight.create ~capacity:n () in
+      let counter, count = Obs.Trace.counter () in
+      p.run ~flight:ring (Obs.Trace.sampled ~every:16 counter);
+      Alcotest.(check int) (p.name ^ ": ring sees every offer") n
+        (Obs.Flight.recorded ring);
+      Alcotest.(check int) (p.name ^ ": sink keeps ceil(n/16)") ((n + 15) / 16)
+        (count ()))
+    pinned_runs
+
+let test_sampled_out_allocates_nothing () =
+  (* A sink that keeps 1 offer in 10^6 sees only the first of the
+     7,646 offers of [trace mini]; the other offers must not allocate,
+     so the run costs at most a few hundred words more than an
+     unobserved one (the sink and the one kept event). *)
+  let words run =
+    Gc.minor ();
+    let w0 = Gc.minor_words () in
+    run ();
+    Gc.minor_words () -. w0
+  in
+  let plain () = tracing_run "mini" (Obs.Trace.of_fn ignore) in
+  let unobserved () =
+    match Tracing.find "mini" with
+    | Some sc -> ignore (sc.Tracing.exec ())
+    | None -> Alcotest.fail "trace scenario mini missing"
+  in
+  plain ();
+  let base = words unobserved in
+  let counter, count = Obs.Trace.counter () in
+  let sampled =
+    words (fun () -> tracing_run "mini" (Obs.Trace.sampled ~every:1_000_000 counter))
+  in
+  Alcotest.(check int) "one offer kept" 1 (count ());
+  if sampled -. base > 400.0 then
+    Alcotest.failf "sampled-out offers allocated %.0f words (unobserved %.0f)"
+      (sampled -. base) base
 
 (* ---------- Metrics.merge histogram accuracy ---------- *)
 
@@ -663,6 +917,13 @@ let () =
             test_flight_wraparound;
           Alcotest.test_case "invariant violation dumps the ring" `Quick
             test_flight_invariant_dump;
+        ] );
+      ( "trace bytes",
+        [
+          Alcotest.test_case "pinned trace digests" `Quick test_trace_digests;
+          Alcotest.test_case "ring equals sink" `Quick test_ring_equals_sink;
+          Alcotest.test_case "sampled-out offers allocate nothing" `Quick
+            test_sampled_out_allocates_nothing;
         ] );
       ( "trace codec",
         [
