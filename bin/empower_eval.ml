@@ -13,9 +13,17 @@
 
 open Cmdliner
 
+let positive_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n > 0 -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let runs_arg default =
   let doc = Printf.sprintf "Number of runs/instances (default %d)." default in
-  Arg.(value & opt int default & info [ "runs"; "r" ] ~docv:"N" ~doc)
+  Arg.(value & opt positive_int default & info [ "runs"; "r" ] ~docv:"N" ~doc)
 
 let seed_arg default =
   let doc = "Random seed (experiments are deterministic given the seed)." in

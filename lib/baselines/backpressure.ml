@@ -5,8 +5,10 @@ type result = {
   convergence_slot : int option;
 }
 
-let run ?(v = 300.0) ?(a_max = 200.0) ?(slots = 20000) ?(window = 200)
-    ?(utility = Utility.proportional_fair) g dom ~flows =
+let run ?(slots = 20000) ?(utility = Utility.proportional_fair) g dom ~flows =
+  (* Utility weight V, admission cap (Mbit/s) and smoothing window
+     (slots). *)
+  let v = 300.0 and a_max = 200.0 and window = 200 in
   let flows = Array.of_list flows in
   let n_flows = Array.length flows in
   let n_nodes = Multigraph.n_nodes g in

@@ -8,7 +8,8 @@
 
     - per-(node, flow) queues (in Mbit);
     - drift-plus-penalty admission at each source:
-      [a_f = U'^-1(Q_{s_f,f} / V)] clamped to [0, a_max];
+      [a_f = U'^-1(Q_{s_f,f} / V)] with [V = 300] (larger is closer
+      to optimal but slower), clamped to [0, 200] Mbps;
     - max-weight scheduling each slot: links weighted by
       [c_l * max_f (Q_u,f - Q_v,f)+], activated greedily subject to
       non-interference (greedy maximal-weight independent set — the
@@ -17,7 +18,7 @@
     - destination queues drain instantly.
 
     Throughput per flow is the delivered rate smoothed over a sliding
-    window; convergence is measured exactly as for the controller
+    window of 200 slots; convergence is measured exactly as for the controller
     (within 1% of the final value, 0.01 Mbps floor). *)
 
 type result = {
@@ -28,15 +29,10 @@ type result = {
 }
 
 val run :
-  ?v:float ->
-  ?a_max:float ->
   ?slots:int ->
-  ?window:int ->
   ?utility:Utility.t ->
   Multigraph.t ->
   Domain.t ->
   flows:(int * int) list ->
   result
-(** Run the dynamic. Defaults: [v = 300] (utility weight; larger is
-    closer to optimal but slower), [a_max = 200] Mbps admission cap,
-    [slots = 20000], [window = 200] slots of smoothing. *)
+(** Run the dynamic for [slots] slots (default 20000). *)

@@ -32,12 +32,10 @@ let uses_cc = function
 type options = {
   delta : float;
   estimate_noise : float;
-  n_shortest : int;
   cc_slots : int;
 }
 
-let default_options =
-  { delta = 0.0; estimate_noise = 0.0; n_shortest = 5; cc_slots = 2000 }
+let default_options = { delta = 0.0; estimate_noise = 0.0; cc_slots = 2000 }
 
 (* The CSC only matters when there are different technologies to
    alternate; the paper sets it to 0 in WiFi-only scenarios. With two
@@ -46,14 +44,14 @@ let default_options =
 let csc_for scheme =
   match scenario scheme with Builder.Single_wifi -> false | _ -> true
 
-let routes_for ?(opts = default_options) scheme g dom ~src ~dst =
+let routes_for ?opts:_ scheme g dom ~src ~dst =
   let csc = csc_for scheme in
   match scheme with
   | Sp | Sp_wifi | Sp_wo_cc -> (
     match Single_path.route ~csc g ~src ~dst with None -> [] | Some (p, _) -> [ p ])
   | Mp_2bp -> List.map fst (Yen.k_shortest ~csc g ~src ~dst ~k:2)
   | Empower | Mp_wifi | Mp_mwifi | Mp_wo_cc ->
-    Multipath.routes (Multipath.find ~n:opts.n_shortest ~csc g dom ~src ~dst)
+    Multipath.routes (Multipath.find ~csc g dom ~src ~dst)
 
 (* Multiplicative estimation noise on every link capacity; both
    directions of an edge see the same (measured) value. *)
@@ -98,7 +96,7 @@ let evaluate ?(opts = default_options) rng inst scheme ~flows =
   let g_est = estimated_graph rng ~noise:opts.estimate_noise g_true in
   (* Route selection and rate estimation run on the estimated view. *)
   let flow_routes =
-    List.map (fun (s, d) -> routes_for ~opts scheme g_est dom ~src:s ~dst:d) flows
+    List.map (fun (s, d) -> routes_for scheme g_est dom ~src:s ~dst:d) flows
   in
   let standalone_rates =
     List.map (List.map (fun p -> Update.path_rate g_est dom p)) flow_routes

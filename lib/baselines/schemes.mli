@@ -48,12 +48,11 @@ val uses_cc : t -> bool
 type options = {
   delta : float;          (** constraint margin δ of (3); default 0 *)
   estimate_noise : float; (** relative std of capacity estimation error; default 0 *)
-  n_shortest : int;       (** n of n-shortest; default 5 *)
-  cc_slots : int;         (** controller slots to run; default 3000 *)
+  cc_slots : int;         (** controller slots to run; default 2000 *)
 }
 
 val default_options : options
-(** δ = 0, no estimation noise, n = 5, 3000 slots. *)
+(** δ = 0, no estimation noise, 2000 slots. *)
 
 val routes_for :
   ?opts:options ->
@@ -64,7 +63,9 @@ val routes_for :
   dst:int ->
   Paths.t list
 (** The routes the scheme's routing procedure selects on the given
-    (possibly estimate-based) graph. Empty when unreachable. *)
+    (possibly estimate-based) graph. Empty when unreachable. No
+    option affects route selection; [opts] is accepted so that one
+    options record can be threaded through every stage. *)
 
 val evaluate :
   ?opts:options ->

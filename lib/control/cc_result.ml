@@ -5,7 +5,7 @@ type t = {
   trace : float array array;
 }
 
-let convergence_slot ?(tol = 0.01) t =
+let convergence_slot t =
   let n_slots = Array.length t.trace in
   if n_slots = 0 then None
   else begin
@@ -15,7 +15,7 @@ let convergence_slot ?(tol = 0.01) t =
       let ok = ref true in
       for f = 0 to n_flows - 1 do
         let err = Float.abs (t.trace.(slot).(f) -. final.(f)) in
-        let bound = Float.max (tol *. Float.abs final.(f)) 0.01 in
+        let bound = Float.max (0.01 *. Float.abs final.(f)) 0.01 in
         if err > bound then ok := false
       done;
       !ok

@@ -13,12 +13,11 @@ type t = {
   trace : float array array;  (** [trace.(t)] = flow rates after slot t *)
 }
 
-val convergence_slot : ?tol:float -> t -> int option
-(** First slot from which every flow rate remains within [tol]
-    (default 0.01, i.e. 1%) relative error of its final value — with
-    an absolute floor of 0.01 Mbps so zero-rate flows compare
-    sensibly. [None] if the trace never settles (the run was too
-    short). *)
+val convergence_slot : t -> int option
+(** First slot from which every flow rate remains within 1% relative
+    error of its final value — with an absolute floor of 0.01 Mbps so
+    zero-rate flows compare sensibly. [None] if the trace never
+    settles (the run was too short). *)
 
 val final_utility : Utility.t -> t -> float
 (** [Σ_f U(x_f)] at the final allocation. *)

@@ -11,7 +11,9 @@
     x̄_r ← (1-α) x̄_r + α x_r
     v}
 
-    with [y_l], [γ_l], [q_r] exactly as in the single-path controller.
+    with [y_l], [γ_l], [q_r] from (7)–(9) (the {!Price} kernel). With
+    one route per flow this is the single-path controller of
+    Section 4.2.
     The controller is distributed: the rate update needs only the
     flow's own rates, [x̄_r], and the [q_r] echoed by the destination
     in the 100 ms acknowledgements.

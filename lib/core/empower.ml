@@ -7,7 +7,7 @@ let of_instance inst scenario =
   let g = Builder.graph inst scenario in
   { g; dom = Domain.of_instance inst scenario g }
 
-let of_edges ?interference:(_ = `Single_domain_per_tech) ~n_nodes ~n_techs edges =
+let of_edges ~n_nodes ~n_techs edges =
   let g = Multigraph.create ~n_nodes ~n_techs ~edges in
   { g; dom = Domain.single_domain_per_tech g }
 
@@ -17,8 +17,8 @@ type plan = {
   combination : Multipath.combination;
 }
 
-let plan ?(n = 5) ?(csc = true) net ~src ~dst =
-  { src; dst; combination = Multipath.find ~n ~csc net.g net.dom ~src ~dst }
+let plan net ~src ~dst =
+  { src; dst; combination = Multipath.find net.g net.dom ~src ~dst }
 
 type allocation = {
   plans : plan array;
@@ -27,10 +27,9 @@ type allocation = {
   cc : Cc_result.t;
 }
 
-let allocate ?n ?(delta = 0.0) ?(slots = 3000) ?utility ?price_drain net ~flows
-    =
+let allocate ?(delta = 0.0) ?(slots = 3000) ?utility net ~flows =
   let plans =
-    Array.of_list (List.map (fun (src, dst) -> plan ?n net ~src ~dst) flows)
+    Array.of_list (List.map (fun (src, dst) -> plan net ~src ~dst) flows)
   in
   let flow_routes =
     Array.to_list (Array.map (fun p -> Multipath.routes p.combination) plans)
@@ -42,7 +41,7 @@ let allocate ?n ?(delta = 0.0) ?(slots = 3000) ?utility ?price_drain net ~flows
          (fun p -> List.map snd p.combination.Multipath.paths)
          (Array.to_list plans))
   in
-  let cc = Multi_cc.solve ~x_init ~slots ?price_drain problem in
+  let cc = Multi_cc.solve ~x_init ~slots problem in
   (* Slice the flat rate vector back into per-flow arrays. *)
   let route_rates = Array.make (Array.length plans) [||] in
   let idx = ref 0 in
@@ -54,17 +53,9 @@ let allocate ?n ?(delta = 0.0) ?(slots = 3000) ?utility ?price_drain net ~flows
     plans;
   { plans; flow_rates = cc.Cc_result.flow_rates; route_rates; cc }
 
-let simulate ?config ?invariants ?trace ?faults ?(seed = 0) net ~flows ~duration
-    =
-  let link_events, loss_events, ctrl_events =
-    match faults with
-    | None -> ([], [], [])
-    | Some plan ->
-      let c = Fault.compile net.g plan in
-      (c.Fault.link_events, c.Fault.loss_events, c.Fault.ctrl_events)
-  in
-  Engine.run ?config ?invariants ?trace ~link_events ~loss_events ~ctrl_events
-    (Rng.create seed) net.g net.dom ~flows ~duration
+let simulate ?config ?invariants ?trace ?(seed = 0) net ~flows ~duration =
+  Engine.run ?config ?invariants ?trace (Rng.create seed) net.g net.dom ~flows
+    ~duration
 
 let flow_specs_of_allocation ?(workload = Workload.Saturated)
     ?(transport = Engine.Udp) alloc =

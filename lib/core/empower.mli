@@ -27,7 +27,6 @@ val of_instance : Builder.instance -> Builder.scenario -> network
     testbed) onto a technology scenario. *)
 
 val of_edges :
-  ?interference:[ `Single_domain_per_tech ] ->
   n_nodes:int ->
   n_techs:int ->
   (int * int * int * float) list ->
@@ -44,8 +43,8 @@ type plan = {
 }
 (** The routes EMPoWER selected for one flow, with their rates. *)
 
-val plan : ?n:int -> ?csc:bool -> network -> src:int -> dst:int -> plan
-(** Run the Section 3 multipath procedure (default n = 5, CSC on). *)
+val plan : network -> src:int -> dst:int -> plan
+(** Run the Section 3 multipath procedure (n = 5, CSC on). *)
 
 type allocation = {
   plans : plan array;
@@ -55,28 +54,21 @@ type allocation = {
 }
 
 val allocate :
-  ?n:int ->
   ?delta:float ->
   ?slots:int ->
   ?utility:Utility.t ->
-  ?price_drain:float ->
   network ->
   flows:(int * int) list ->
   allocation
 (** Routing then congestion control: plan each flow, run the
     multipath controller (Section 4.3) on the selected routes starting
     from the routing-estimated rates, and report the allocation.
-    Flows without connectivity get rate 0 and an empty plan.
-    [price_drain] is forwarded to {!Multi_cc.solve}: a per-slot dual
-    leak bounding stale-price hysteresis (default 0 — the paper's
-    exact update). The packet engine exposes the same knob per second
-    of simulated time as [Engine.config.price_drain]. *)
+    Flows without connectivity get rate 0 and an empty plan. *)
 
 val simulate :
   ?config:Engine.config ->
   ?invariants:Invariants.t ->
   ?trace:Obs.Trace.sink ->
-  ?faults:Fault.plan ->
   ?seed:int ->
   network ->
   flows:Engine.flow_spec list ->
@@ -87,10 +79,7 @@ val simulate :
     (see {!Invariants}); the [EMPOWER_CHECK] environment variable
     enables one implicitly. [?trace] streams every datapath and
     control-plane event into an {!Obs.Trace.sink} (see the tracing
-    notes on {!Engine.run}). [?faults] compiles a {!Fault.plan}
-    against the network's graph and schedules it into the run
-    (capacity changes, frame-loss windows, control-plane faults);
-    raises [Invalid_argument] if the plan fails {!Fault.validate}. *)
+    notes on {!Engine.run}). *)
 
 val flow_specs_of_allocation :
   ?workload:Workload.t ->

@@ -35,6 +35,7 @@ let split_rngs master n =
      unspecified, and the split order IS the seeding contract — stream
      [i] must be the [i]-th split whether the replications then run
      sequentially or on a domain pool. *)
+  if n < 0 then invalid_arg "Common.split_rngs: n must be >= 0";
   let rec go acc k = if k = 0 then List.rev acc else go (Rng.split master :: acc) (k - 1) in
   go [] n
 

@@ -26,7 +26,8 @@ val split_rngs : Rng.t -> int -> Rng.t list
     off [master] in order — stream [i] is the [i]-th split, exactly
     what the historical [for]-loop drew at the top of replication [i].
     Pre-splitting in submission order is what lets [Exec.map] fan the
-    replications out over domains with bit-identical results. *)
+    replications out over domains with bit-identical results. Raises
+    [Invalid_argument] when [n < 0]. *)
 
 val runs_scaled : int -> int
 (** Scale a default run count by the [EMPOWER_RUNS] environment

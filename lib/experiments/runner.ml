@@ -1,14 +1,14 @@
 let network inst scheme = Empower.of_instance inst (Schemes.scenario scheme)
 
-let routes_and_rates ?opts (net : Empower.network) scheme ~src ~dst =
-  let routes = Schemes.routes_for ?opts scheme net.Empower.g net.Empower.dom ~src ~dst in
+let routes_and_rates (net : Empower.network) scheme ~src ~dst =
+  let routes = Schemes.routes_for scheme net.Empower.g net.Empower.dom ~src ~dst in
   let rates =
     List.map (fun p -> Update.path_rate net.Empower.g net.Empower.dom p) routes
   in
   (routes, rates)
 
 let flow_spec ?(workload = Workload.Saturated) ?(transport = Engine.Udp)
-    ?tcp_params ?(start_time = 0.0) ?stop_time ~src ~dst (routes, init_rates) =
+    ?tcp_params ~src ~dst (routes, init_rates) =
   {
     Engine.src;
     dst;
@@ -17,8 +17,8 @@ let flow_spec ?(workload = Workload.Saturated) ?(transport = Engine.Udp)
     workload;
     transport;
     tcp_params;
-    start_time;
-    stop_time;
+    start_time = 0.0;
+    stop_time = None;
   }
 
 let goodput_stats (fr : Engine.flow_result) ~last_seconds ~duration =

@@ -4,7 +4,6 @@ val network : Builder.instance -> Schemes.t -> Empower.network
 (** The network a scheme runs on (its scenario projection). *)
 
 val routes_and_rates :
-  ?opts:Schemes.options ->
   Empower.network ->
   Schemes.t ->
   src:int ->
@@ -17,14 +16,13 @@ val flow_spec :
   ?workload:Workload.t ->
   ?transport:Engine.transport ->
   ?tcp_params:Tcp.params ->
-  ?start_time:float ->
-  ?stop_time:float ->
   src:int ->
   dst:int ->
   Paths.t list * float list ->
   Engine.flow_spec
-(** Assemble an engine flow spec. [tcp_params] selects the TCP sender
-    variant for [Tcp_transport] flows (default Reno). *)
+(** Assemble an engine flow spec that runs for the whole simulation.
+    [tcp_params] selects the TCP sender variant for [Tcp_transport]
+    flows (default Reno). *)
 
 val goodput_stats :
   Engine.flow_result -> last_seconds:int -> duration:float -> float * float

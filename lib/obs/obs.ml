@@ -1448,9 +1448,11 @@ module Metrics = struct
 end
 
 module Recorder = struct
+  (* Time-series bucket width, seconds. *)
+  let window = 1.0
+
   type t = {
     reg : Metrics.t;
-    window : float;
     domain_of : (int -> int list) option;
     mutable window_start : float;
     link_air : (int, float ref) Hashtbl.t;    (* airtime in current window *)
@@ -1470,11 +1472,9 @@ module Recorder = struct
     flows_seen : (int, unit) Hashtbl.t;
   }
 
-  let create ?(window = 1.0) ?domain_of reg =
-    if window <= 0.0 then invalid_arg "Recorder.create: window must be positive";
+  let create ?domain_of reg =
     {
       reg;
-      window;
       domain_of;
       window_start = 0.0;
       link_air = Hashtbl.create 32;
@@ -1494,7 +1494,7 @@ module Recorder = struct
   let sorted_keys tbl = Hashtbl.fold (fun k _ acc -> k :: acc) tbl [] |> List.sort compare
 
   let flush_window r =
-    let w_end = r.window_start +. r.window in
+    let w_end = r.window_start +. window in
     (* Per-link airtime utilisation, and I_l busy fraction (the left
        side of constraint (2)) when the interference structure is
        known. *)
@@ -1503,7 +1503,7 @@ module Recorder = struct
     in
     List.iter
       (fun l ->
-        let u = air l /. r.window in
+        let u = air l /. window in
         Metrics.Series.add
           (Metrics.series r.reg (Printf.sprintf "link.%d.util" l))
           w_end u;
@@ -1514,7 +1514,7 @@ module Recorder = struct
           Metrics.Series.add
             (Metrics.series r.reg (Printf.sprintf "domain.%d.busy" l))
             w_end
-            (busy /. r.window))
+            (busy /. window))
       (sorted_keys r.link_air);
     (* Queue occupancy sampled at the window boundary. *)
     List.iter
@@ -1531,14 +1531,14 @@ module Recorder = struct
         Metrics.Series.add
           (Metrics.series r.reg (Printf.sprintf "flow.%d.goodput" f))
           w_end
-          (bits /. 1e6 /. r.window))
+          (bits /. 1e6 /. window))
       (sorted_keys r.flow_bits);
     Hashtbl.reset r.link_air;
     Hashtbl.reset r.flow_bits;
     r.window_start <- w_end
 
   let advance r t =
-    while t >= r.window_start +. r.window do
+    while t >= r.window_start +. window do
       flush_window r
     done
 
@@ -1718,7 +1718,7 @@ module Recorder = struct
             in
             let dip_area =
               List.fold_left
-                (fun a (_, v) -> a +. (Float.max 0.0 (baseline -. v) *. r.window))
+                (fun a (_, v) -> a +. (Float.max 0.0 (baseline -. v) *. window))
                 0.0 post
             in
             let recovery =

@@ -569,10 +569,10 @@ end
 module Recorder : sig
   type t
 
-  val create : ?window:float -> ?domain_of:(int -> int list) -> Metrics.t -> t
-  (** [window] (default 1 s) sets the time-series bucketing;
-      [domain_of l] lists the links of I_l (including [l]) and
-      enables the per-domain busy metric. *)
+  val create : ?domain_of:(int -> int list) -> Metrics.t -> t
+  (** Time series are bucketed in 1 s windows. [domain_of l] lists
+      the links of I_l (including [l]) and enables the per-domain busy
+      metric. *)
 
   val sink : t -> Trace.sink
 

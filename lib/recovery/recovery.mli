@@ -23,36 +23,29 @@
     Everything here is deterministic: equal inputs (and equal rng
     states for the jittered backoff) give equal outputs. *)
 
-type config = {
-  dead_ack_threshold : int;
-      (** consecutive ack-report windows with traffic injected but
-          zero bytes acked before a route is declared dead
-          (default 3, i.e. ~300 ms of silence under load) *)
-  hello_timeout : float;
-      (** seconds without any ack while frames are outstanding before
-          a route is declared dead — catches routes driven too slowly
-          for the k-miss rule to fire (default 1.0) *)
-  backoff_base : float;  (** first reclaim-probe delay, seconds (0.2) *)
-  backoff_factor : float;  (** delay multiplier per failed probe (2.0) *)
-  backoff_cap : float;  (** maximum probe delay, seconds (2.0) *)
-  backoff_jitter : float;
-      (** relative jitter on each delay, drawn from the caller's rng;
-          0 disables the draw entirely (default 0.1) *)
-}
+type config
+(** The switch for the engine's [recovery] field: [Some default]
+    turns the self-healing control plane on. Its constants are
+    fixed. *)
 
 val default : config
 
-val validate : config -> unit
-(** Raises [Invalid_argument] on non-positive timeouts, a threshold
-    below 1, a backoff factor below 1, a cap below the base, or
-    jitter outside [0, 1). *)
+val dead_ack_threshold : int
+(** Consecutive ack-report windows with traffic injected but zero
+    bytes acked before a route is declared dead (3, i.e. ~300 ms of
+    silence under load). *)
+
+val hello_timeout : float
+(** Seconds without any ack while frames are outstanding before a
+    route is declared dead — catches routes driven too slowly for the
+    k-miss rule to fire (1.0). *)
 
 module Backoff : sig
-  val delay : config -> Rng.t -> attempt:int -> float
-  (** [delay config rng ~attempt] is
-      [min cap (base * factor^attempt)], multiplied by a uniform
-      jitter in [1 - j, 1 + j]. The rng is consumed only when
-      [backoff_jitter > 0]. Requires [attempt >= 0]. *)
+  val delay : Rng.t -> attempt:int -> float
+  (** [delay rng ~attempt] is [min 2.0 (0.2 * 2^attempt)] seconds,
+      multiplied by a uniform jitter in [0.9, 1.1) drawn from [rng]
+      (one draw per call). Raises [Invalid_argument] when
+      [attempt < 0]. *)
 end
 
 (** Per-route failure detector over the periodic ack stream. *)
@@ -70,9 +63,8 @@ module Detector : sig
         (** an ack arrived on a dead route; [down_for] is the outage
             length as the detector saw it *)
 
-  val create : config -> n_routes:int -> now:float -> t
-  (** Fresh detector; every route starts [Alive] with [last-ok = now].
-      Validates the config. *)
+  val create : n_routes:int -> now:float -> t
+  (** Fresh detector; every route starts [Alive] with [last-ok = now]. *)
 
   val observe :
     t ->

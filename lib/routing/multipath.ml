@@ -7,8 +7,7 @@ type combination = {
 
 let routes c = List.map fst c.paths
 
-let find ?(n = 5) ?(csc = true) ?(max_depth = 6) ?(min_rate = 0.1)
-    ?(max_vertices = 2_000) g dom ~src ~dst =
+let find ?(n = 5) ?(csc = true) ?(max_depth = 6) g dom ~src ~dst =
   if n < 1 then invalid_arg "Multipath.find: n < 1";
   if src = dst then invalid_arg "Multipath.find: src = dst";
   (* One compiled search serves the whole tree: update(P, G) changes
@@ -28,11 +27,12 @@ let find ?(n = 5) ?(csc = true) ?(max_depth = 6) ?(min_rate = 0.1)
      observed); on topologies with localized interference the tree
      can branch much deeper, so we bound both the branch depth (the
      mitigation the paper itself suggests) and the total number of
-     explored vertices. The bound only trims combinations of 7+
-     simultaneous paths, whose extra capacity is negligible. *)
+     explored vertices (2000), and drop candidates below 0.1 Mbit/s.
+     The bounds only trim combinations of 7+ simultaneous paths,
+     whose extra capacity is negligible. *)
   let rec explore g depth acc_paths acc_total =
     incr vertices;
-    let budget_ok = !vertices < max_vertices in
+    let budget_ok = !vertices < 2_000 in
     let candidates =
       if depth >= max_depth || not budget_ok then []
       else begin
@@ -40,7 +40,7 @@ let find ?(n = 5) ?(csc = true) ?(max_depth = 6) ?(min_rate = 0.1)
         Yen.search search ~src ~dst ~k:n
         |> List.filter_map (fun (p, _) ->
                let r = Update.path_rate g dom p in
-               if r >= min_rate then Some (p, r) else None)
+               if r >= 0.1 then Some (p, r) else None)
       end
     in
     match candidates with

@@ -17,10 +17,9 @@
     interference can branch much deeper, so the construction is
     bounded by a branch-depth cap ([max_depth], default 6 — the
     mitigation Section 3.2 itself suggests), a total vertex budget
-    ([max_vertices], default 2000), and by ignoring candidate paths
-    with [R(P) < min_rate] (default 0.1 Mbps). The bounds only trim
-    combinations of 7+ simultaneous paths, whose residual capacities
-    are negligible. *)
+    of 2000, and by ignoring candidate paths with [R(P) < 0.1] Mbps.
+    The bounds only trim combinations of 7+ simultaneous paths, whose
+    residual capacities are negligible. *)
 
 type combination = {
   paths : (Paths.t * float) list;
@@ -35,8 +34,6 @@ val find :
   ?n:int ->
   ?csc:bool ->
   ?max_depth:int ->
-  ?min_rate:float ->
-  ?max_vertices:int ->
   Multigraph.t ->
   Domain.t ->
   src:int ->

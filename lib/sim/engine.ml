@@ -22,14 +22,9 @@ type buffers = {
 
 type config = {
   frame_bytes : int;
-  queue_limit : int;
   delta : float;
-  gamma_alpha : float;
-  cc_gain : float;
   enable_cc : bool;
-  adaptive_alpha : bool;
   delay_equalize : bool;
-  estimate_capacities : bool;
   control_period : float;
   collision_prob : float;
   route_reclaim : bool;
@@ -38,17 +33,19 @@ type config = {
   buffers : buffers option;
 }
 
+(* Per-link FIFO capacity in frames (used when [config.buffers] is
+   [None]), the dual step size of (8) and the proximal gain of the
+   multipath rate update (§4.3). *)
+let queue_limit = 100
+let gamma_alpha = 0.02
+let cc_gain = 50.0
+
 let default_config =
   {
     frame_bytes = 12000;
-    queue_limit = 100;
     delta = 0.0;
-    gamma_alpha = 0.02;
-    cc_gain = 50.0;
     enable_cc = true;
-    adaptive_alpha = true;
     delay_equalize = false;
-    estimate_capacities = true;
     control_period = 0.1;
     collision_prob = 0.12;
     route_reclaim = false;
@@ -318,12 +315,8 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
     match config.recovery with Some _ -> Some (Rng.split rng) | None -> None
   in
   let d_est l =
-    if config.estimate_capacities then begin
-      let e = Estimator.estimate links.(l).estimator in
-      if e <= 0.01 then 100.0 else 1.0 /. e
-    end
-    else if cap l <= 0.0 then infinity
-    else 1.0 /. cap l
+    let e = Estimator.estimate links.(l).estimator in
+    if e <= 0.01 then 100.0 else 1.0 /. e
   in
   (* Only links on some flow's route ever carry data-plane traffic;
      only links interfering with those can accumulate airtime and
@@ -491,11 +484,9 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
       x = Array.of_list spec.init_rates;
       x_bar = Array.of_list spec.init_rates;
       alpha =
-        (if config.adaptive_alpha then
-           Alpha.create
-             ~single_path:(Array.length routes <= 1)
-             ~longest_route_hops:longest
-         else Alpha.fixed 0.02);
+        Alpha.create
+          ~single_path:(Array.length routes <= 1)
+          ~longest_route_hops:longest;
       next_seq = 0;
       active = false;
       inject_scheduled = false;
@@ -518,9 +509,9 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
            reordering and ack machinery, so TCP flows keep the legacy
            probe-floor path (route_reclaim). *)
         (match (config.recovery, spec.transport) with
-        | Some rc, Udp when Array.length routes > 0 ->
+        | Some _, Udp when Array.length routes > 0 ->
           Some
-            (Recovery.Detector.create rc ~n_routes:(Array.length routes)
+            (Recovery.Detector.create ~n_routes:(Array.length routes)
                ~now:spec.start_time)
         | _ -> None);
       reclaim_attempt = Array.make n_routes 0;
@@ -606,9 +597,8 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
       (* With a shared byte pool the per-queue frame bound is pool
          capacity in frames, not the (bypassed) legacy limit. *)
       match config.buffers with
-      | None -> config.queue_limit
-      | Some b ->
-        max config.queue_limit ((b.pool_bytes / max 1 config.frame_bytes) + 1)
+      | None -> queue_limit
+      | Some b -> max queue_limit ((b.pool_bytes / max 1 config.frame_bytes) + 1)
     in
     Invariants.configure t ~n_links ~queue_limit:inv_queue_limit
       ~frame_bytes:config.frame_bytes ~control_period:config.control_period;
@@ -830,7 +820,7 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
     st.had_traffic <- true;
     let admitted =
       match config.buffers with
-      | None -> Fifo.length st.queue < config.queue_limit
+      | None -> Fifo.length st.queue < queue_limit
       | Some b -> buf_admit b l pkt.bytes
     in
     if not admitted then begin
@@ -1013,7 +1003,6 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
         (tokens.(f.id) +. (rate *. 1e6 /. 8.0 *. (now.(0) -. tokens_at.(f.id))));
     tokens_at.(f.id) <- now.(0)
   in
-  let debug = Sys.getenv_opt "ENGINE_DEBUG" <> None in
   let arm_rto f =
     match f.tcp with
     | None -> ()
@@ -1068,10 +1057,6 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
             if config.enable_cc then
               tokens.(f.id) <- tokens.(f.id) -. float_of_int config.frame_bytes;
             inject_frame f ~bytes:config.frame_bytes ~seq;
-            if debug then
-              Printf.eprintf "%.3f tcp send seq=%d cwnd=%.1f una=%d inflight=%d rate=%.2f tokens=%.0f\n"
-                now.(0) seq (Tcp.cwnd tcp) (Tcp.snd_una tcp) (Tcp.in_flight tcp)
-                (total_rate f) tokens.(f.id);
             tcp_try_send f
         end
       end);
@@ -1246,7 +1231,7 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
      mass is redistributed onto the routes that survive the LSDB
      re-discovery, and reclaim probes are armed on the backoff
      schedule. A later ack on the route restores its initial rate. *)
-  let on_route_dead f i ~since det rc rrng =
+  let on_route_dead f i ~since det rrng =
     if em_on then
       Obs.Emit.route_dead em ~flow:f.id ~route:i ~detect_s:(now.(0) -. since);
     let dead_mass = f.x.(i) in
@@ -1287,7 +1272,7 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
     f.reclaim_attempt.(i) <- 0;
     f.reclaim_gen.(i) <- f.reclaim_gen.(i) + 1;
     schedule
-      (Recovery.Backoff.delay rc rrng ~attempt:0)
+      (Recovery.Backoff.delay rrng ~attempt:0)
       (Arena.reclaim_probe ~flow:f.id ~route:i ~gen:f.reclaim_gen.(i))
   in
   let on_route_restored f i ~down_for =
@@ -1326,8 +1311,8 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
       List.iter
         (fun (r : Ack.route_report) ->
           let i = r.Ack.route in
-          match (f.detector, config.recovery, rec_rng) with
-          | Some det, Some rc, Some rrng -> (
+          match (f.detector, rec_rng) with
+          | Some det, Some rrng -> (
             let injected = f.injected_window.(i) in
             f.injected_window.(i) <- 0.0;
             match
@@ -1336,14 +1321,14 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
                 ~frame_bytes:(float_of_int config.frame_bytes)
             with
             | Recovery.Detector.Down { since } ->
-              on_route_dead f i ~since det rc rrng
+              on_route_dead f i ~since det rrng
             | Recovery.Detector.Recovered { down_for } ->
               on_route_restored f i ~down_for
             | Recovery.Detector.Still_down -> () (* rate held at zero *)
             | Recovery.Detector.Alive | Recovery.Detector.Suspect _ ->
               let inner =
                 Float.max 0.0
-                  (f.x_bar.(i) +. (config.cc_gain *. (u' -. r.Ack.qr)))
+                  (f.x_bar.(i) +. (cc_gain *. (u' -. r.Ack.qr)))
               in
               f.x.(i) <-
                 Float.max probe_rate (((1.0 -. a) *. f.x.(i)) +. (a *. inner)))
@@ -1372,7 +1357,7 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
             else begin
               let inner =
                 Float.max 0.0
-                  (f.x_bar.(i) +. (config.cc_gain *. (u' -. r.Ack.qr)))
+                  (f.x_bar.(i) +. (cc_gain *. (u' -. r.Ack.qr)))
               in
               (* Keep a small probe rate on every configured route: a
                  route priced out of use must still carry occasional
@@ -1407,20 +1392,19 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
       window_bits.(l) <- 0.0;
       demand.(c) <- bits /. 1e6 *. d_est l /. config.control_period
     done;
-    Price.Dual.step dual ~alpha:config.gamma_alpha ~drain:tick_drain;
+    Price.Dual.step dual ~alpha:gamma_alpha ~drain:tick_drain;
     if em_on then
       Obs.Emit.price em ~links:(Price.Dual.priced dual) ~gamma ~price:link_price;
     (* 2. Capacity estimation (only carriers are ever priced or
        transmitted on, so only they need tracking). *)
-    if config.estimate_capacities then
-      Array.iter
-        (fun l ->
-          let st = links.(l) in
-          Estimator.set_mode st.estimator
-            (if st.had_traffic then Estimator.Active_traffic else Estimator.Probing);
-          st.had_traffic <- false;
-          Estimator.observe st.estimator ~now:now.(0) ~true_capacity:(cap l))
-        carrier_links;
+    Array.iter
+      (fun l ->
+        let st = links.(l) in
+        Estimator.set_mode st.estimator
+          (if st.had_traffic then Estimator.Active_traffic else Estimator.Probing);
+        st.had_traffic <- false;
+        Estimator.observe st.estimator ~now:now.(0) ~true_capacity:(cap l))
+      carrier_links;
     (* 3. Destination ACK emission + trace recording. *)
     Array.iter
       (fun f ->
@@ -1507,8 +1491,7 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
              control periods. Restart it from a fresh observation —
              the draw comes from the estimator's own per-link rng
              stream, so no other link's sequence shifts. *)
-          if config.estimate_capacities then
-            Estimator.reset links.(l).estimator ~now:now.(0) ~capacity:caps.(l)
+          Estimator.reset links.(l).estimator ~now:now.(0) ~capacity:caps.(l)
         | _ -> ());
         try_start l
       end
@@ -1586,8 +1569,8 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
       let fid = Arena.flow code in
       let i = Arena.probe_route code and gen = Arena.probe_gen code in
       let f = flow_states.(fid) in
-      match (f.detector, config.recovery, rec_rng) with
-      | Some det, Some rc, Some rrng
+      match (f.detector, rec_rng) with
+      | Some det, Some rrng
         when f.active && gen = f.reclaim_gen.(i)
              && Recovery.Detector.dead det i ->
         (* One frame down the dead route; its delivery (and the ack
@@ -1602,7 +1585,7 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
             ~attempt:f.reclaim_attempt.(i);
         f.reclaim_attempt.(i) <- f.reclaim_attempt.(i) + 1;
         schedule
-          (Recovery.Backoff.delay rc rrng ~attempt:f.reclaim_attempt.(i))
+          (Recovery.Backoff.delay rrng ~attempt:f.reclaim_attempt.(i))
           (Arena.reclaim_probe ~flow:fid ~route:i ~gen)
       | _ -> ())
     | _ -> assert false (* no such tag is ever scheduled *)

@@ -29,10 +29,11 @@
     window and the estimated capacities, exchanges the per-technology
     aggregates with its interference neighborhood (the paper's
     broadcast packets; modeled as instantaneous overhearing), and
-    updates the dual variables γ_l. Sources apply the proximal
-    multipath update on each ACK. Link capacities are known only
-    through {!Estimator}s (precise under traffic, coarser when
-    probing).
+    updates the dual variables γ_l (step size 0.02). Sources apply
+    the proximal multipath update (gain 50, the Section 6.1 adaptive
+    α) on each ACK. Link capacities are known only through
+    {!Estimator}s (precise under traffic, coarser when probing); the
+    prices use their estimates.
 
     {b Transports.} UDP (rate-driven by the controller, or fixed
     rates without CC) and the Reno TCP of {!Tcp} (window-driven, with
@@ -86,14 +87,9 @@ type buffers = {
 
 type config = {
   frame_bytes : int;        (** aggregate frame payload (default 12000) *)
-  queue_limit : int;        (** per-link queue capacity, frames (default 100) *)
   delta : float;            (** constraint margin δ (default 0) *)
-  gamma_alpha : float;      (** dual step size (default 0.02) *)
-  cc_gain : float;          (** proximal gain (default 50) *)
   enable_cc : bool;         (** false: inject at [init_rates] forever *)
-  adaptive_alpha : bool;    (** use the Section 6.1 α heuristic *)
   delay_equalize : bool;    (** destination-side delay equalization *)
-  estimate_capacities : bool; (** true: prices use Estimator output *)
   control_period : float;   (** controller/ACK period (default 0.1 s) *)
   collision_prob : float;
       (** CSMA/CA contention losses: a transmission starting while [m]
@@ -155,6 +151,10 @@ type config = {
 }
 
 val default_config : config
+
+val queue_limit : int
+(** Per-link FIFO capacity in frames when [config.buffers] is [None]
+    (100). *)
 
 type flow_result = {
   received_bytes : int;

@@ -380,13 +380,15 @@ let test_alpha_fixed_never_adapts () =
 
 (* --- Controllers --- *)
 
+(* Single-route problems: the multipath controller with one route per
+   flow is the Section 4.2 single-path controller. *)
 let test_single_cc_one_link () =
   (* One flow, one direct 10 Mbps link, single collision domain: the
      proportional-fair optimum under sum-airtime <= 1 is x = 10. *)
   let g = Multigraph.create ~n_nodes:2 ~n_techs:1 ~edges:[ (0, 1, 0, 10.0) ] in
   let dom = Domain.single_domain_per_tech g in
   let p = Problem.make g dom ~flows:[ [ Paths.of_links g [ 0 ] ] ] in
-  let res = Single_cc.solve ~slots:4000 p in
+  let res = Multi_cc.solve ~slots:4000 p in
   check_float ~eps:0.3 "x -> 10" 10.0 res.Cc_result.flow_rates.(0);
   Alcotest.(check bool) "feasible" true
     (Problem.feasible ~slack:0.05 p res.Cc_result.rates)
@@ -398,18 +400,9 @@ let test_single_cc_two_flows_fair () =
   let dom = Domain.single_domain_per_tech g in
   let r () = Paths.of_links g [ 0 ] in
   let p = Problem.make g dom ~flows:[ [ r () ]; [ r () ] ] in
-  let res = Single_cc.solve ~slots:4000 p in
+  let res = Multi_cc.solve ~slots:4000 p in
   check_float ~eps:0.3 "flow 0 half" 6.0 res.Cc_result.flow_rates.(0);
   check_float ~eps:0.3 "flow 1 half" 6.0 res.Cc_result.flow_rates.(1)
-
-let test_single_cc_rejects_multipath () =
-  let g, dom = fig1 () in
-  let p = Problem.make g dom ~flows:[ fig1_routes g ] in
-  Alcotest.(check bool) "raises" true
-    (try
-       ignore (Single_cc.solve p);
-       false
-     with Invalid_argument _ -> true)
 
 let test_multi_cc_fig1 () =
   (* The Figure 1 scenario: total must approach 10 + 20/3 = 16.67. *)
@@ -593,7 +586,6 @@ let () =
         [
           Alcotest.test_case "one link" `Quick test_single_cc_one_link;
           Alcotest.test_case "two flows fair" `Quick test_single_cc_two_flows_fair;
-          Alcotest.test_case "rejects multipath" `Quick test_single_cc_rejects_multipath;
         ] );
       ( "multi-cc",
         [

@@ -66,6 +66,11 @@ let test_split_rngs_matches_loop () =
         (List.init 5 (fun _ -> Rng.float ra)))
     a b
 
+let test_split_rngs_negative () =
+  Alcotest.check_raises "n = -1"
+    (Invalid_argument "Common.split_rngs: n must be >= 0")
+    (fun () -> ignore (Common.split_rngs (Rng.create 42) (-1)))
+
 let test_metrics_merge_equivalence () =
   (* A parallel map against the ambient registry must leave exactly
      the state the sequential run leaves: counters summed, gauges
@@ -181,6 +186,8 @@ let () =
             test_earliest_exception_wins;
           Alcotest.test_case "split_rngs matches loop" `Quick
             test_split_rngs_matches_loop;
+          Alcotest.test_case "split_rngs rejects negative" `Quick
+            test_split_rngs_negative;
           Alcotest.test_case "metrics merge equivalence" `Quick
             test_metrics_merge_equivalence;
           Alcotest.test_case "progress reporter observes only" `Quick

@@ -4,7 +4,6 @@
    twice without an intervening recovery: that is what keeps the
    engine from double-redistributing a flapping route's rate mass. *)
 
-let config = Recovery.default
 let frame = 1500.0
 
 (* One ack-report window: [Ack] delivers bytes, [Miss] injects a
@@ -24,7 +23,7 @@ let observe det ~route ~now = function
       ~frame_bytes:frame
 
 let run_windows ?(dt = 0.1) windows =
-  let det = Recovery.Detector.create config ~n_routes:1 ~now:0.0 in
+  let det = Recovery.Detector.create ~n_routes:1 ~now:0.0 in
   List.mapi
     (fun i w ->
       let now = dt *. float_of_int (i + 1) in
@@ -84,7 +83,7 @@ let test_slow_flap_full_threshold_each_cycle () =
     verdicts
 
 let test_recovered_down_for () =
-  let det = Recovery.Detector.create config ~n_routes:1 ~now:0.0 in
+  let det = Recovery.Detector.create ~n_routes:1 ~now:0.0 in
   ignore (observe det ~route:0 ~now:0.1 Miss);
   ignore (observe det ~route:0 ~now:0.2 Miss);
   (match observe det ~route:0 ~now:0.3 Miss with
@@ -100,7 +99,7 @@ let test_recovered_down_for () =
    (<= 2 frames per window) still pins the route dead once the
    outstanding bytes have seen no ack for hello_timeout. *)
 let test_hello_timeout () =
-  let det = Recovery.Detector.create config ~n_routes:1 ~now:0.0 in
+  let det = Recovery.Detector.create ~n_routes:1 ~now:0.0 in
   let slow now =
     Recovery.Detector.observe det ~route:0 ~now ~injected:frame ~acked:0.0
       ~frame_bytes:frame
@@ -114,8 +113,8 @@ let test_hello_timeout () =
   in
   let fired = drive 0.1 in
   Alcotest.(check bool) "fires after hello_timeout" true
-    (fired > config.Recovery.hello_timeout
-    && fired <= config.Recovery.hello_timeout +. 0.2 +. 1e-9)
+    (fired > Recovery.hello_timeout
+    && fired <= Recovery.hello_timeout +. 0.2 +. 1e-9)
 
 (* An idle route (nothing outstanding) never times out. *)
 let test_idle_never_dies () =
@@ -146,7 +145,7 @@ let arb_windows =
 let prop_no_leak =
   QCheck.Test.make ~name:"flapping leaks no Suspect state" ~count:300
     arb_windows (fun windows ->
-      let det = Recovery.Detector.create config ~n_routes:1 ~now:0.0 in
+      let det = Recovery.Detector.create ~n_routes:1 ~now:0.0 in
       let down = ref false in
       List.iteri
         (fun i w ->
@@ -180,10 +179,31 @@ let prop_no_leak =
             QCheck.Test.fail_report "dead flag out of sync with verdicts";
           (* While alive, suspicion is strictly below the declaration
              threshold — the detector never sits on a primed trigger. *)
-          if (not !down) && suspicion >= config.Recovery.dead_ack_threshold
+          if (not !down) && suspicion >= Recovery.dead_ack_threshold
           then QCheck.Test.fail_report "alive route at or above threshold")
         windows;
       true)
+
+(* Reclaim-probe schedule: 0.2 s doubling to a 2 s cap, each delay
+   within ±10% jitter, replayable from the rng state. *)
+let test_backoff_delay () =
+  let rng = Rng.create 42 in
+  let replay = Rng.copy rng in
+  let delays = List.init 8 (fun k -> Recovery.Backoff.delay rng ~attempt:k) in
+  List.iteri
+    (fun k d ->
+      let nominal = Float.min 2.0 (0.2 *. (2.0 ** float_of_int k)) in
+      Alcotest.(check bool)
+        (Printf.sprintf "attempt %d delay %g within 10%% of %g" k d nominal)
+        true
+        (d >= 0.9 *. nominal && d <= 1.1 *. nominal))
+    delays;
+  Alcotest.(check (list (float 0.0)))
+    "same rng state, same sequence" delays
+    (List.init 8 (fun k -> Recovery.Backoff.delay replay ~attempt:k));
+  Alcotest.check_raises "negative attempt"
+    (Invalid_argument "Recovery.Backoff.delay: attempt must be >= 0")
+    (fun () -> ignore (Recovery.Backoff.delay rng ~attempt:(-1)))
 
 let () =
   Alcotest.run "recovery"
@@ -198,5 +218,6 @@ let () =
           ("hello timeout", `Quick, test_hello_timeout);
           ("idle never dies", `Quick, test_idle_never_dies);
         ] );
+      ("backoff", [ ("delay schedule", `Quick, test_backoff_delay) ]);
       ("properties", [ QCheck_alcotest.to_alcotest prop_no_leak ]);
     ]
