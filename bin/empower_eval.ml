@@ -35,7 +35,7 @@ let jobs_arg =
      $(b,EMPOWER_JOBS), else 1). Results are bit-identical for any value; \
      1 runs fully sequentially in the calling domain."
   in
-  Arg.(value & opt (some int) None & info [ "jobs"; "j" ] ~docv:"N" ~doc)
+  Arg.(value & opt (some positive_int) None & info [ "jobs"; "j" ] ~docv:"N" ~doc)
 
 let json_arg =
   let doc =

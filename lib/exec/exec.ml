@@ -35,10 +35,7 @@ module Progress = struct
 
   let set_reporter r = current := r
 
-  let env_enabled () =
-    match Sys.getenv_opt "EMPOWER_PROGRESS" with
-    | Some s when s <> "" && s <> "0" -> true
-    | _ -> false
+  let env_enabled () = Env_flag.enabled "EMPOWER_PROGRESS"
 
   (* One line per event, newest state wins; elapsed times expose the
      stragglers directly (longest-running first). *)

@@ -873,10 +873,7 @@ module Flight = struct
         ~finally:(fun () -> close_out_noerr oc)
         (fun () -> Ok (path, dump_channel t oc))
 
-  let env_enabled () =
-    match Sys.getenv_opt "EMPOWER_FLIGHT" with
-    | None | Some "" | Some "0" -> false
-    | Some _ -> true
+  let env_enabled () = Env_flag.enabled "EMPOWER_FLIGHT"
 
   let of_env () =
     let capacity =
@@ -1087,8 +1084,8 @@ module Prof = struct
 
   (* Attribute wall/words without tallying an event: for bracketing
      auxiliary work (the engine's scheduler pop path) that should show
-     in the category shares but must not inflate the event count that
-     [events] reports and benchmarks divide by. *)
+     in the category shares but must not inflate the event counts the
+     per-event figures divide by. *)
   let leave_silent p cat =
     let w1 = Gc.minor_words () in
     let t1 = Unix.gettimeofday () in
@@ -2019,7 +2016,7 @@ module Runtime = struct
     match !slot with
     | Some _ as r -> r
     | None ->
-      if Sys.getenv_opt "EMPOWER_METRICS" <> None then Some (install_metrics ())
+      if Env_flag.enabled "EMPOWER_METRICS" then Some (install_metrics ())
       else None
 
   let clear () = Domain.DLS.get registry := None

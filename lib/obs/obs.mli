@@ -214,8 +214,8 @@ module Trace : sig
       sample of each kind. The repo pins the resulting error at p99
       within 10% relative of the full-trace value on the reference
       scenarios whenever the subsample retains at least 1000
-      deliveries (verified by [test/test_obs.ml] and surfaced as
-      [trace_overhead_sampled_pct] in BENCH_sim.json); below that,
+      deliveries (verified by [test/test_obs.ml]; [test/test_sim.ml]
+      gates the words a 1-in-16 sampled run allocates); below that,
       widen the sample before trusting tail quantiles.
       Raises [Invalid_argument] if [every < 1]. *)
 
@@ -246,7 +246,8 @@ end
     stores its tag, time and scalar fields into fixed [int array] /
     [float array] columns — no event record is constructed, nothing
     grows, so the ring is cheap enough to leave attached to every run
-    (see [flight_overhead_pct] in BENCH_sim.json; the only boxed
+    ([test/test_sim.ml] gates the words a run with a ring attached
+    allocates; the only boxed
     writes are the two array-carrying control-plane kinds,
     {!Trace.Rate_update} and {!Trace.Ack}, a few per control period).
     {!Engine.run} accepts a recorder via [?flight] or creates one
@@ -362,8 +363,7 @@ end
     the engine subsystem that handled each event, feeding the
     sub-300 ns/event roadmap item with per-subsystem data. Pass
     [~prof:(create ())] to {!Engine.run} (zero cost when absent), or
-    run [empower_eval profile <scenario>]; aggregate numbers land in
-    BENCH_sim.json as [prof_*] fields. Attribution includes a small
+    run [empower_eval profile <scenario>]. Attribution includes a small
     constant self-cost per event (the [Gc.minor_words] reads inside
     the measured window — a few words and tens of nanoseconds). *)
 module Prof : sig
@@ -399,11 +399,8 @@ module Prof : sig
 
   val leave_silent : t -> int -> unit
   (** Like {!leave} but without tallying an event, for auxiliary work
-      (scheduler pops) that must not inflate {!events} — the
-      per-handler-event denominator benchmarks divide by. *)
-
-  val events : t -> int
-  val total_wall : t -> float
+      (scheduler pops) that must not inflate a category's event count,
+      the denominator of its per-event figures. *)
 
   type entry = {
     name : string;
@@ -654,8 +651,8 @@ module Runtime : sig
 
   val metrics : unit -> Metrics.t option
   (** The calling domain's registry, if installed (or if
-      [EMPOWER_METRICS] is set, in which case the first call
-      installs it). *)
+      [EMPOWER_METRICS] is set to anything but [""]/["0"], in which
+      case the first call installs it). *)
 
   val clear : unit -> unit
   (** Uninstall the calling domain's registry. *)

@@ -69,12 +69,10 @@ type flow_result = {
 type perf = {
   wall_s : float;
   events_per_s : float;
-  wall_per_sim_s : float;
   peak_queue_depth : int;
 }
 
-let zero_perf =
-  { wall_s = 0.0; events_per_s = 0.0; wall_per_sim_s = 0.0; peak_queue_depth = 0 }
+let zero_perf = { wall_s = 0.0; events_per_s = 0.0; peak_queue_depth = 0 }
 
 type result = {
   flows : flow_result array;
@@ -1766,7 +1764,6 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
         wall_s;
         events_per_s =
           (if wall_s > 0.0 then float_of_int !events_processed /. wall_s else 0.0);
-        wall_per_sim_s = (if duration > 0.0 then wall_s /. duration else 0.0);
         peak_queue_depth = !peak_depth;
       };
   }

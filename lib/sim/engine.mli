@@ -189,7 +189,6 @@ type flow_result = {
 type perf = {
   wall_s : float;            (** CPU seconds spent in the event loop *)
   events_per_s : float;      (** events_processed / wall_s (0 if instant) *)
-  wall_per_sim_s : float;    (** CPU seconds per simulated second *)
   peak_queue_depth : int;    (** max event-queue length observed *)
 }
 
@@ -273,8 +272,8 @@ val run :
     reorder-release order, pacing/goodput bounds) — in its default
     [`Raise] mode any violated invariant aborts the run with
     {!Invariants.Violation}. When the [EMPOWER_CHECK] environment
-    variable is set, every [run] without an explicit checker creates
-    one, so a whole experiment binary can be audited without code
+    variable is set to anything but [""]/["0"], every [run] without
+    an explicit checker creates one, so a whole experiment binary can be audited without code
     changes. Expect a 2-4x slowdown with checking on.
 
     {b Tracing.} Passing [~trace:sink] streams every datapath and

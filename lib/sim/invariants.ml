@@ -87,7 +87,7 @@ let create ?(mode = `Raise) () =
     scratch = [||];
   }
 
-let env_enabled () = Sys.getenv_opt "EMPOWER_CHECK" <> None
+let env_enabled () = Env_flag.enabled "EMPOWER_CHECK"
 
 let configure t ~n_links:_ ~queue_limit ~frame_bytes ~control_period =
   t.queue_limit <- queue_limit;

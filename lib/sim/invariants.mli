@@ -20,7 +20,7 @@
     Enable it for any simulation by passing [~invariants:(create ())]
     to {!Engine.run}, or for a whole process (every [Engine.run],
     including the figure experiments) by setting the [EMPOWER_CHECK]
-    environment variable. A violated invariant raises {!Violation}
+    environment variable to anything but [""]/["0"]. A violated invariant raises {!Violation}
     carrying a structured report; with [~mode:`Collect] violations
     accumulate instead and are read back with {!violations}. *)
 
@@ -77,7 +77,7 @@ val create : ?mode:[ `Raise | `Collect ] -> unit -> t
     first failure, [`Collect] records and keeps going. *)
 
 val env_enabled : unit -> bool
-(** [true] iff the [EMPOWER_CHECK] environment variable is set. *)
+(** [true] iff [EMPOWER_CHECK] is set to anything but [""]/["0"]. *)
 
 val configure :
   t -> n_links:int -> queue_limit:int -> frame_bytes:int -> control_period:float -> unit

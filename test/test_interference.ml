@@ -95,6 +95,12 @@ let test_of_instance () =
         links)
     links
 
+(* The interference-domain build of the pinned residential case. *)
+let test_domain_build_words () =
+  let inst, g, _ = Lazy.force Alloc_probe.residential_case in
+  Alloc_probe.check_words ~budget:27550.0 "Domain.of_instance" (fun () ->
+      Domain.of_instance inst Builder.Hybrid g)
+
 let test_cliques_triangle () =
   (* Triangle graph: one maximal clique of size 3. *)
   let neighbors = function
@@ -195,6 +201,8 @@ let () =
             test_standard_carrier_sense_range;
           Alcotest.test_case "plc panels" `Quick test_standard_plc_panels;
           Alcotest.test_case "of_instance" `Quick test_of_instance;
+          Alcotest.test_case "build allocation gate" `Quick
+            test_domain_build_words;
         ] );
       ( "cliques",
         [

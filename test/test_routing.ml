@@ -584,6 +584,12 @@ let test_search_allocation () =
     Alcotest.failf "second search over %d hops allocated %.0f words (budget %.0f)" h words
       budget
 
+(* The exploration tree on the pinned residential case, flow 0 -> 9. *)
+let test_multipath_find_words () =
+  let _, g, dom = Lazy.force Alloc_probe.residential_case in
+  Alloc_probe.check_words ~budget:18503.0 "Multipath.find" (fun () ->
+      Multipath.find g dom ~src:0 ~dst:9)
+
 let () =
   Alcotest.run "routing"
     [
@@ -638,5 +644,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_kernel_multipath;
           Alcotest.test_case "search allocates only its result" `Quick
             test_search_allocation;
+          Alcotest.test_case "multipath allocation gate" `Quick
+            test_multipath_find_words;
         ] );
     ]

@@ -1003,6 +1003,39 @@ let test_catches_double_occupancy () =
       Invariants.check_step inv ~now:0.01
         { quiet_view with Invariants.on_air_flow = (fun _ -> Some 0) })
 
+(* Exact counters of the pinned engine run: residential seed 77, flow
+   0 -> 9 saturated over UDP for 4 s, engine seed 1. The event count is
+   exact; each word budget is the allocation measured when the gate was
+   pinned, so a word more per event fails it many times over. *)
+let pinned_flow =
+  lazy
+    (let _, g, dom = Lazy.force Alloc_probe.residential_case in
+     saturated_flow g dom ~src:0 ~dst:9)
+
+let pinned_run ?trace ?flight () =
+  let _, g, dom = Lazy.force Alloc_probe.residential_case in
+  Engine.run ?trace ?flight (Rng.create 1) g dom
+    ~flows:[ Lazy.force pinned_flow ]
+    ~duration:4.0
+
+let test_pinned_events () =
+  Alcotest.(check int) "events processed" 12138
+    (pinned_run ()).Engine.events_processed
+
+let test_pinned_words () =
+  Alloc_probe.check_words ~budget:391699.0 "untraced run" (fun () -> pinned_run ())
+
+let test_pinned_words_flight () =
+  let flight = Obs.Flight.create () in
+  Alloc_probe.check_words ~budget:410733.0 "run with a flight ring" (fun () ->
+      pinned_run ~flight ())
+
+let test_pinned_words_sampled () =
+  Alloc_probe.check_words ~budget:409818.0 "run with a 1-in-16 sampled sink"
+    (fun () ->
+      let sink, _ = Obs.Trace.counter () in
+      pinned_run ~trace:(Obs.Trace.sampled ~every:16 sink) ())
+
 let () =
   Alcotest.run "sim"
     [
@@ -1085,6 +1118,15 @@ let () =
             test_catches_queue_over_bound;
           Alcotest.test_case "catches double occupancy" `Quick
             test_catches_double_occupancy;
+        ] );
+      ( "counters",
+        [
+          Alcotest.test_case "pinned run events" `Quick test_pinned_events;
+          Alcotest.test_case "pinned run words" `Quick test_pinned_words;
+          Alcotest.test_case "pinned run words with flight ring" `Quick
+            test_pinned_words_flight;
+          Alcotest.test_case "pinned run words sampled" `Quick
+            test_pinned_words_sampled;
         ] );
       ( "properties",
         [ QCheck_alcotest.to_alcotest prop_engine_goodput_below_optimal ] );

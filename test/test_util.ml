@@ -412,6 +412,26 @@ let test_fmt_float () =
   Alcotest.(check string) "small" "0.070" (Table.fmt_float 0.07);
   Alcotest.(check string) "mid" "3.14" (Table.fmt_float 3.142)
 
+(* --- Env_flag --- *)
+
+let test_env_flag_rule () =
+  List.iter
+    (fun (v, expected) ->
+      Alcotest.(check bool)
+        (Option.value v ~default:"<unset>")
+        expected (Env_flag.of_value v))
+    [ (None, false); (Some "", false); (Some "0", false); (Some "1", true);
+      (Some "yes", true); (Some "00", true) ]
+
+(* EMPOWER_CHECK=0 means off, like the other switches: it must not
+   attach the invariant checker. *)
+let test_env_check_zero_is_off () =
+  let saved = Sys.getenv_opt "EMPOWER_CHECK" in
+  Unix.putenv "EMPOWER_CHECK" "0";
+  let enabled = Invariants.env_enabled () in
+  Unix.putenv "EMPOWER_CHECK" (Option.value saved ~default:"");
+  Alcotest.(check bool) "EMPOWER_CHECK=0" false enabled
+
 let () =
   Alcotest.run "util"
     [
@@ -431,6 +451,12 @@ let () =
           Alcotest.test_case "shuffle is a permutation" `Quick
             test_rng_shuffle_permutation;
           QCheck_alcotest.to_alcotest prop_rng_matches_int64_reference;
+        ] );
+      ( "env",
+        [
+          Alcotest.test_case "flag rule" `Quick test_env_flag_rule;
+          Alcotest.test_case "EMPOWER_CHECK=0 is off" `Quick
+            test_env_check_zero_is_off;
         ] );
       ( "stats",
         [
