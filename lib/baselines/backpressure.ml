@@ -5,7 +5,7 @@ type result = {
   convergence_slot : int option;
 }
 
-let run ?(slots = 20000) ?(utility = Utility.proportional_fair) g dom ~flows =
+let run ?(slots = 20000) g dom ~flows =
   (* Utility weight V, admission cap (Mbit/s) and smoothing window
      (slots). *)
   let v = 300.0 and a_max = 200.0 and window = 200 in
@@ -26,7 +26,7 @@ let run ?(slots = 20000) ?(utility = Utility.proportional_fair) g dom ~flows =
         let qs = q.(s).(f) in
         let a =
           if qs <= 0.0 then a_max
-          else Float.min a_max (utility.Utility.u'_inv (qs /. v))
+          else Float.min a_max (Utility.u'_inv (qs /. v))
         in
         q.(s).(f) <- q.(s).(f) +. a)
       flows;

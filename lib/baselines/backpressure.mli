@@ -30,7 +30,6 @@ type result = {
 
 val run :
   ?slots:int ->
-  ?utility:Utility.t ->
   Multigraph.t ->
   Domain.t ->
   flows:(int * int) list ->

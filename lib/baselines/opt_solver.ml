@@ -1,5 +1,5 @@
-let max_throughput ?delta model g dom ~src ~dst =
-  let region = Rate_region.build ?delta model g dom ~flows:[ (src, dst) ] in
+let max_throughput model g dom ~src ~dst =
+  let region = Rate_region.build model g dom ~flows:[ (src, dst) ] in
   let c = Rate_region.flow_value_coeffs region 0 in
   match Simplex.maximize ~c ~rows:(Rate_region.rows region) with
   | Simplex.Optimal (_, v) -> Float.max 0.0 v
@@ -22,9 +22,8 @@ let golden_max f =
   in
   go 0.0 1.0 (f 0.0) (f 1.0) 40
 
-let max_utility ?delta ?(iterations = 200) ?(utility = Utility.proportional_fair)
-    model g dom ~flows =
-  let region = Rate_region.build ?delta model g dom ~flows in
+let max_utility ?(iterations = 200) model g dom ~flows =
+  let region = Rate_region.build model g dom ~flows in
   let n = Rate_region.n_vars region in
   let rows = Rate_region.rows region in
   let n_flows = List.length flows in
@@ -39,7 +38,7 @@ let max_utility ?delta ?(iterations = 200) ?(utility = Utility.proportional_fair
   in
   let objective y =
     Array.fold_left
-      (fun acc x -> acc +. utility.Utility.u (Float.max 0.0 x))
+      (fun acc x -> acc +. Utility.u (Float.max 0.0 x))
       0.0 (flow_values y)
   in
   let y = Array.make n 0.0 in
@@ -51,7 +50,7 @@ let max_utility ?delta ?(iterations = 200) ?(utility = Utility.proportional_fair
        let grad = Array.make n 0.0 in
        Array.iteri
          (fun f c ->
-           let w = utility.Utility.u' (Float.max 0.0 x.(f)) in
+           let w = Utility.u' (Float.max 0.0 x.(f)) in
            Array.iteri (fun j cj -> grad.(j) <- grad.(j) +. (w *. cj)) c)
          value_coeffs;
        match Simplex.maximize ~c:grad ~rows with

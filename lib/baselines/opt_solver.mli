@@ -17,7 +17,6 @@
     "optimal" adds the cost of conservatism. *)
 
 val max_throughput :
-  ?delta:float ->
   Rate_region.model ->
   Multigraph.t ->
   Domain.t ->
@@ -29,14 +28,13 @@ val max_throughput :
     the destination is unreachable. *)
 
 val max_utility :
-  ?delta:float ->
   ?iterations:int ->
-  ?utility:Utility.t ->
   Rate_region.model ->
   Multigraph.t ->
   Domain.t ->
   flows:(int * int) list ->
   float array
-(** Utility-optimal flow rates for several concurrent flows
-    (default proportional fairness, 200 Frank–Wolfe iterations —
-    enough for < 0.1% objective error on paper-scale networks). *)
+(** Utility-optimal flow rates for several concurrent flows under
+    proportional fairness ({!Utility}), by [iterations] Frank–Wolfe
+    steps (default 200 — enough for < 0.1% objective error on
+    paper-scale networks). *)

@@ -11,7 +11,7 @@ type t = {
 
 let var t ~flow ~pos = (flow * Array.length t.usable) + pos
 
-let build ?(delta = 0.0) model g dom ~flows =
+let build model g dom ~flows =
   List.iter
     (fun (s, d) -> if s = d then invalid_arg "Rate_region.build: src = dst")
     flows;
@@ -51,7 +51,6 @@ let build ?(delta = 0.0) model g dom ~flows =
       done)
     flows;
   (* Airtime rows. *)
-  let budget = 1.0 -. delta in
   let add_airtime_row link_set =
     let row = Array.make n_vars 0.0 in
     let nonzero = ref false in
@@ -66,7 +65,7 @@ let build ?(delta = 0.0) model g dom ~flows =
           done
         end)
       link_set;
-    if !nonzero then rows := (row, Simplex.Le, budget) :: !rows
+    if !nonzero then rows := (row, Simplex.Le, 1.0) :: !rows
   in
   (match model with
   | Exact -> List.iter add_airtime_row (Domain.graph_cliques dom)

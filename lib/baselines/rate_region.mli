@@ -7,11 +7,11 @@
 
     - {b Exact} (the paper's "optimal" centralized scheduler): one row
       per maximal clique c of the link-interference graph,
-      [Σ_{l∈c} d_l Σ_f y_{f,l} <= 1 - δ]. For perfect interference
+      [Σ_{l∈c} d_l Σ_f y_{f,l} <= 1]. For perfect interference
       graphs this is the exact schedulability region of a perfectly
       scheduled medium.
     - {b Conservative} (constraint (2), what EMPoWER enforces): one
-      row per link l, [Σ_{l'∈I_l} d_{l'} Σ_f y_{f,l'} <= 1 - δ].
+      row per link l, [Σ_{l'∈I_l} d_{l'} Σ_f y_{f,l'} <= 1].
       Always a subset of the exact region.
 
     Conservation holds at every node except each flow's endpoints. *)
@@ -21,10 +21,9 @@ type model = Exact | Conservative
 type t
 (** A compiled region for one multigraph + flow list. *)
 
-val build :
-  ?delta:float -> model -> Multigraph.t -> Domain.t -> flows:(int * int) list -> t
-(** Compile the region. Flows are (source, destination) pairs; [delta]
-    defaults to 0. Requires distinct endpoints per flow. *)
+val build : model -> Multigraph.t -> Domain.t -> flows:(int * int) list -> t
+(** Compile the region. Flows are (source, destination) pairs.
+    Requires distinct endpoints per flow. *)
 
 val n_vars : t -> int
 (** Number of LP variables. *)

@@ -28,7 +28,3 @@ val observe : t -> float array -> unit
     is their sum, taken left to right from [0.0]); may halve α when
     the oscillation rule triggers. Allocates nothing, except the new
     α when it halves. *)
-
-val fixed : float -> t
-(** A state that never adapts (for ablations and the simulation
-    experiments, which use a constant α). *)

@@ -28,6 +28,3 @@ let convergence_slot t =
     | None -> Some 0
     | Some v -> if v + 1 >= n_slots then None else Some (v + 1)
   end
-
-let final_utility u t =
-  Array.fold_left (fun acc x -> acc +. u.Utility.u x) 0.0 t.flow_rates

@@ -20,25 +20,21 @@
 
     Each slot runs on the {!Price} kernel compiled once per solve, so
     results follow its summation-order contract bit for bit; [U'_f] is
-    evaluated once per flow. With no [sink] the slot loop allocates
-    only the [trace] row it returns ([n_flows + 1] words per slot);
-    the allocation gate in the control tests holds it to that. *)
+    evaluated once per flow. The slot loop allocates only the [trace]
+    row it returns ([n_flows + 1] words per slot); the allocation gate
+    in the control tests holds it to that. *)
 
 val solve :
-  ?alpha:Alpha.t ->
   ?gain:float ->
   ?slots:int ->
   ?stop_tol:float ->
   ?x_init:float array ->
-  ?sink:Obs.Trace.sink ->
-  ?ack_loss:(slot:int -> flow:int -> bool) ->
-  ?price_drain:float ->
   Problem.t ->
   Cc_result.t
 (** Run for [slots] iterations (default 2000) from [x_init] (default
-    all-zero), γ = 0, x̄ = x_init. Works for any mix of single- and
-    multi-route flows (a single-route flow recovers near-single-path
-    behaviour).
+    all-zero), γ = 0, x̄ = x_init, with the constant step size
+    α = 0.02. Works for any mix of single- and multi-route flows (a
+    single-route flow recovers near-single-path behaviour).
 
     [gain] is the proximal weight: the quadratic penalty in (11) is
     [1/(2c) Σ (x_r - x̄_r)^2], giving the update
@@ -57,48 +53,6 @@ val solve :
     pass those rates as [x_init]; the controller then only fine-tunes
     toward the utility optimum and resolves inter-flow contention.
 
-    [sink] streams the controller's convergence into an
-    {!Obs.Trace.sink}: one [Price_update] per slot for every link some
-    route traverses (γ_l plus the full congestion price
-    [d_l Σ_{i∈I_l} γ_i]) and one [Rate_update] per flow (its per-route
-    rates), with the slot index as the event timestamp.
-
-    [ack_loss] models control-plane message loss: when
-    [ack_loss ~slot ~flow] is true, flow [flow]'s report for that slot
-    is treated as lost — its rates and proximal anchors hold still
-    while the link duals keep evolving — instead of assuming lossless
-    delivery. The update resumes on the next delivered report; with
-    any loss pattern of density < 1 the iteration still converges to
-    the same fixed point (the fixed-point equations are unchanged),
-    only slower.
-
-    [price_drain] (default 0, the paper's exact update) leaks every
-    dual by that amount per slot before the positive projection:
-    [γ_l ← [γ_l + α (y_l - (1-δ)) - price_drain]+]. Without it a
-    stale price on a failed route decays only at α·(1-δ) per step —
-    with the engine's defaults (α = 0.02, δ = 0.05, 100 ms control
-    period) roughly 0.03/s of simulated time, the hysteresis that
-    made full-severance recovery take tens of seconds before the
-    recovery subsystem existed. A small positive drain bounds that
-    tail at the cost of a slight steady-state price bias, so it is
-    off by default; the self-healing path in [lib/recovery] resets
-    stale prices outright instead. Raises [Invalid_argument] when
-    negative or non-finite. *)
-
-val solve_tracked :
-  ?alpha:Alpha.t ->
-  ?gain:float ->
-  ?slots:int ->
-  ?stop_tol:float ->
-  ?x_init:float array ->
-  ?sink:Obs.Trace.sink ->
-  ?ack_loss:(slot:int -> flow:int -> bool) ->
-  ?price_drain:float ->
-  on_slot:(int -> float array -> unit) ->
-  Problem.t ->
-  Cc_result.t
-(** Same as {!solve}, invoking [on_slot t x] after every slot with the
-    current per-route rates — used by the time-series experiments
-    (Figure 9). [stop_tol] enables early termination: the loop ends
-    once no flow rate has moved by more than [max tol (0.5%)] over 200
-    slots (the tail of the trace is padded with the settled rates). *)
+    [stop_tol] enables early termination: the loop ends once no flow
+    rate has moved by more than [max tol (0.5%)] over 200 slots (the
+    tail of the trace is padded with the settled rates). *)

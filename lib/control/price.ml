@@ -1,9 +1,9 @@
 (* The dual arithmetic only involves links that can carry traffic
-   (route links, plus links with external airtime) and the links whose
-   interference domains contain them (their γ enters the route
-   prices). Restricting the per-slot loops to those sets makes the
-   controller's cost independent of the total network size — on the
-   22-node testbed graph this is a ~50x saving.
+   (route links) and the links whose interference domains contain
+   them (their γ enters the route prices). Restricting the per-slot
+   loops to those sets makes the controller's cost independent of the
+   total network size — on the 22-node testbed graph this is a ~50x
+   saving.
 
    Every incidence structure is compiled once into CSR form: a
    [start] array of length n+1 and a flat [idx] array, row [k] being
@@ -90,10 +90,7 @@ module Dual = struct
     let p = t.priced_pos.(l) in
     if p < 0 then 0.0 else t.y.(p)
 
-  let step t ~alpha ~drain =
-    (* [x -. 0.0] is [x] bit for bit, so a non-positive drain can be
-       subtracted as a zero without a per-link branch. *)
-    let drain = if drain > 0.0 then drain else 0.0 in
+  let step t ~alpha =
     let { start; idx } = t.priced_carriers in
     for p = 0 to Array.length t.priced - 1 do
       let acc = ref 0.0 in
@@ -102,7 +99,7 @@ module Dual = struct
       done;
       t.y.(p) <- !acc;
       let i = t.priced.(p) in
-      let upd = t.gamma.(i) +. (alpha *. (!acc -. t.target)) -. drain in
+      let upd = t.gamma.(i) +. (alpha *. (!acc -. t.target)) in
       (* [Float.max 0.0 upd], bit for bit (NaN passes through). *)
       t.gamma.(i) <- (if upd <= 0.0 then 0.0 else upd)
     done
@@ -111,8 +108,6 @@ end
 type t = {
   dual : Dual.t;
   d : float array;
-  external_airtime : float array;
-  u'_into : float array -> float array -> unit;
   carrier_routes : csr;   (* carrier position -> route ids, ascending *)
   carrier_domain : csr;   (* carrier position -> links of I_l, Domain.domain order *)
   route_carriers : csr;   (* route -> carrier positions, Paths.links order *)
@@ -130,9 +125,6 @@ let create (problem : Problem.t) =
   Array.iter
     (fun p -> List.iter (fun l -> is_carrier.(l) <- true) p.Paths.links)
     routes;
-  Array.iteri
-    (fun l ext -> if ext > 0.0 then is_carrier.(l) <- true)
-    problem.Problem.external_airtime;
   let dual =
     Dual.create problem.Problem.dom ~delta:problem.Problem.delta ~is_carrier
   in
@@ -155,8 +147,6 @@ let create (problem : Problem.t) =
   {
     dual;
     d = problem.Problem.d;
-    external_airtime = problem.Problem.external_airtime;
-    u'_into = problem.Problem.utility.Utility.u'_into;
     carrier_routes = csr_of_rows on_carrier;
     carrier_domain =
       csr_of_rows (Array.map (Domain.domain problem.Problem.dom) carriers);
@@ -176,7 +166,7 @@ let marginal t = t.marginal
 
 let airtime t l = Dual.airtime t.dual l
 
-let step t ~x ~alpha ~drain =
+let step t ~x ~alpha =
   let dual = t.dual in
   let { start; idx } = t.carrier_routes in
   for c = 0 to Array.length dual.Dual.carriers - 1 do
@@ -185,9 +175,9 @@ let step t ~x ~alpha ~drain =
     for k = start.(c) to start.(c + 1) - 1 do
       traffic := !traffic +. x.(idx.(k))
     done;
-    dual.Dual.demand.(c) <- (t.d.(l) *. !traffic) +. t.external_airtime.(l)
+    dual.Dual.demand.(c) <- t.d.(l) *. !traffic
   done;
-  Dual.step dual ~alpha ~drain
+  Dual.step dual ~alpha
 
 let route_costs t =
   let dual = t.dual in
@@ -222,16 +212,7 @@ let flow_rates t ~x dst =
 
 let marginals t ~x =
   flow_rates t ~x t.flow_rate;
-  t.u'_into t.flow_rate t.marginal
-
-let iter_route_links t f =
-  let dual = t.dual in
-  let { start; _ } = t.carrier_routes in
-  Array.iteri
-    (fun c l ->
-      if start.(c + 1) > start.(c) then
-        f ~link:l ~gamma:dual.Dual.gamma.(l) ~price:t.link_price.(c))
-    dual.Dual.carriers
+  Utility.u'_into t.flow_rate t.marginal
 
 let routes_on_link t l =
   let c = t.dual.Dual.carrier_pos.(l) in

@@ -14,14 +14,14 @@
     [U']. {!step}, {!route_costs}, {!marginals}, {!flow_rates} and
     {!Dual.step} work in place and allocate nothing, whatever the
     problem size. The only links touched are the {e carriers} (route
-    links and links with external airtime) and the {e priced} links
+    links) and the {e priced} links
     (every link whose domain contains a carrier); every other [γ_l]
     stays 0.
 
     {b Summation order} (part of the contract: every figure, golden
     trace and the "same network ⇒ bit-identical allocation" property
     depend on it). Every sum starts from [0.0] and adds, in order:
-    - carrier demand [d_l Σ x_r + ext_l]: route ids ascending;
+    - carrier demand [d_l Σ x_r]: route ids ascending;
     - [y_i]: carrier demands in {!Domain.domain} order of [I_i];
     - link price [d_l Σ γ_i]: {!Domain.domain} order of [I_l];
     - [q_r]: link prices in {!Paths.links} order (a repeated hop
@@ -58,14 +58,10 @@ module Dual : sig
   (** [y_l] computed by the last {!step} (0 for a link that is not
       priced). *)
 
-  val step : t -> alpha:float -> drain:float -> unit
+  val step : t -> alpha:float -> unit
   (** Equation (8) with the margin of (3) over every priced link:
       [y_i ← Σ_{l ∈ I_i} demand_l], then
-      [γ_i ← [γ_i + α (y_i - (1 - δ)) - drain]+]. A non-positive
-      [drain] is the paper's exact update. [drain] is an optional
-      per-step leak that bounds how long a stale price lingers after
-      its link's load disappears — without it γ decays only at
-      α·(1-δ) per step once [y_i] drops to zero. Allocates nothing. *)
+      [γ_i ← [γ_i + α (y_i - (1 - δ))]+]. Allocates nothing. *)
 end
 
 type t
@@ -79,11 +75,11 @@ val gamma : t -> float array
 (** [γ_l] per link id, by reference (as {!Dual.gamma}). *)
 
 val airtime : t -> int -> float
-(** [y_l] from the last {!step}: equation (7) plus external airtime. *)
+(** [y_l] from the last {!step}: equation (7). *)
 
-val step : t -> x:float array -> alpha:float -> drain:float -> unit
+val step : t -> x:float array -> alpha:float -> unit
 (** One dual update under route rates [x]: carrier demand
-    [d_l Σ_{r ∋ l} x_r + ext_l] (equation (7)), then {!Dual.step}. *)
+    [d_l Σ_{r ∋ l} x_r] (equation (7)), then {!Dual.step}. *)
 
 val route_costs : t -> unit
 (** Equation (9) under the current [γ]: fills {!q}. *)
@@ -101,11 +97,6 @@ val marginals : t -> x:float array -> unit
 
 val marginal : t -> float array
 (** Per-flow [U'] from the last {!marginals} (by reference). *)
-
-val iter_route_links : t -> (link:int -> gamma:float -> price:float -> unit) -> unit
-(** For every link some route traverses, ascending: its [γ_l] and the
-    congestion price [d_l Σ_{i ∈ I_l} γ_i] computed by the last
-    {!route_costs} (for convergence tracing). *)
 
 val routes_on_link : t -> int -> int list
 (** Route ids traversing a link, ascending (cached incidence; for

@@ -5,13 +5,10 @@ type t = {
   routes : Paths.t array;
   flow_of : int array;
   flow_routes : int list array;
-  utility : Utility.t;
   delta : float;
-  external_airtime : float array;
 }
 
-let make ?(delta = 0.0) ?d ?external_airtime ?(utility = Utility.proportional_fair)
-    g dom ~flows =
+let make ?(delta = 0.0) ?d g dom ~flows =
   if delta < 0.0 || delta >= 1.0 then invalid_arg "Problem.make: delta outside [0,1)";
   let n_links = Multigraph.num_links g in
   let d =
@@ -20,14 +17,6 @@ let make ?(delta = 0.0) ?d ?external_airtime ?(utility = Utility.proportional_fa
       if Array.length d <> n_links then invalid_arg "Problem.make: d length mismatch";
       d
     | None -> Array.init n_links (fun l -> Multigraph.d g l)
-  in
-  let external_airtime =
-    match external_airtime with
-    | Some a ->
-      if Array.length a <> n_links then
-        invalid_arg "Problem.make: external_airtime length mismatch";
-      a
-    | None -> Array.make n_links 0.0
   in
   let routes = Array.of_list (List.concat flows) in
   Array.iter
@@ -52,7 +41,7 @@ let make ?(delta = 0.0) ?d ?external_airtime ?(utility = Utility.proportional_fa
         routes_f)
     flows;
   Array.iteri (fun f rs -> flow_routes.(f) <- List.rev rs) flow_routes;
-  { g; dom; d; routes; flow_of; flow_routes; utility; delta; external_airtime }
+  { g; dom; d; routes; flow_of; flow_routes; delta }
 
 let n_routes t = Array.length t.routes
 
@@ -68,7 +57,7 @@ let airtime_demand t x l =
   Array.iteri
     (fun r p -> if Paths.mem_link p l then traffic := !traffic +. x.(r))
     t.routes;
-  (t.d.(l) *. !traffic) +. t.external_airtime.(l)
+  t.d.(l) *. !traffic
 
 let feasible ?(slack = 1e-9) t x =
   let n_links = Multigraph.num_links t.g in

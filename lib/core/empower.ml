@@ -27,21 +27,21 @@ type allocation = {
   cc : Cc_result.t;
 }
 
-let allocate ?(delta = 0.0) ?(slots = 3000) ?utility net ~flows =
+let allocate net ~flows =
   let plans =
     Array.of_list (List.map (fun (src, dst) -> plan net ~src ~dst) flows)
   in
   let flow_routes =
     Array.to_list (Array.map (fun p -> Multipath.routes p.combination) plans)
   in
-  let problem = Problem.make ~delta ?utility net.g net.dom ~flows:flow_routes in
+  let problem = Problem.make net.g net.dom ~flows:flow_routes in
   let x_init =
     Array.of_list
       (List.concat_map
          (fun p -> List.map snd p.combination.Multipath.paths)
          (Array.to_list plans))
   in
-  let cc = Multi_cc.solve ~x_init ~slots problem in
+  let cc = Multi_cc.solve ~x_init ~slots:3000 problem in
   (* Slice the flat rate vector back into per-flow arrays. *)
   let route_rates = Array.make (Array.length plans) [||] in
   let idx = ref 0 in
@@ -53,12 +53,10 @@ let allocate ?(delta = 0.0) ?(slots = 3000) ?utility net ~flows =
     plans;
   { plans; flow_rates = cc.Cc_result.flow_rates; route_rates; cc }
 
-let simulate ?config ?invariants ?trace ?(seed = 0) net ~flows ~duration =
-  Engine.run ?config ?invariants ?trace (Rng.create seed) net.g net.dom ~flows
-    ~duration
+let simulate ?config ?(seed = 0) net ~flows ~duration =
+  Engine.run ?config (Rng.create seed) net.g net.dom ~flows ~duration
 
-let flow_specs_of_allocation ?(workload = Workload.Saturated)
-    ?(transport = Engine.Udp) alloc =
+let flow_specs_of_allocation alloc =
   Array.to_list alloc.plans
   |> List.filter_map (fun p ->
          match Multipath.routes p.combination with
@@ -70,8 +68,8 @@ let flow_specs_of_allocation ?(workload = Workload.Saturated)
                dst = p.dst;
                routes;
                init_rates = List.map snd p.combination.Multipath.paths;
-               workload;
-               transport;
+               workload = Workload.Saturated;
+               transport = Engine.Udp;
                tcp_params = None;
                start_time = 0.0;
                stop_time = None;

@@ -53,39 +53,25 @@ type allocation = {
   cc : Cc_result.t;             (** full controller output *)
 }
 
-val allocate :
-  ?delta:float ->
-  ?slots:int ->
-  ?utility:Utility.t ->
-  network ->
-  flows:(int * int) list ->
-  allocation
+val allocate : network -> flows:(int * int) list -> allocation
 (** Routing then congestion control: plan each flow, run the
-    multipath controller (Section 4.3) on the selected routes starting
-    from the routing-estimated rates, and report the allocation.
-    Flows without connectivity get rate 0 and an empty plan. *)
+    multipath controller (Section 4.3, δ = 0, 3000 slots) on the
+    selected routes starting from the routing-estimated rates, and
+    report the allocation. Flows without connectivity get rate 0 and
+    an empty plan. *)
 
 val simulate :
   ?config:Engine.config ->
-  ?invariants:Invariants.t ->
-  ?trace:Obs.Trace.sink ->
   ?seed:int ->
   network ->
   flows:Engine.flow_spec list ->
   duration:float ->
   Engine.result
-(** Packet-level simulation of the full stack (see {!Engine}).
-    [?invariants] threads a runtime invariant checker through the run
-    (see {!Invariants}); the [EMPOWER_CHECK] environment variable
-    enables one implicitly. [?trace] streams every datapath and
-    control-plane event into an {!Obs.Trace.sink} (see the tracing
-    notes on {!Engine.run}). *)
+(** Packet-level simulation of the full stack (see {!Engine}); the
+    [EMPOWER_CHECK] environment variable attaches the runtime
+    invariant checker (see {!Invariants}). *)
 
-val flow_specs_of_allocation :
-  ?workload:Workload.t ->
-  ?transport:Engine.transport ->
-  allocation ->
-  Engine.flow_spec list
-(** Turn an allocation into engine flow specs (default saturated
-    UDP): routes from the plans, initial injection at the planned
-    rates. Flows with no route are omitted. *)
+val flow_specs_of_allocation : allocation -> Engine.flow_spec list
+(** Turn an allocation into saturated UDP engine flow specs: routes
+    from the plans, initial injection at the planned rates. Flows with
+    no route are omitted. *)

@@ -107,7 +107,7 @@ let sweep ?(seed = 23) ?(duration = 20.0) ?(pools = default_pools)
   List.iter
     (fun p -> if p <= 0 then invalid_arg "Buffers.sweep: pool must be positive")
     pools;
-  let frame_bytes = Engine.default_config.Engine.frame_bytes in
+  let frame_bytes = Engine.frame_bytes in
   let inst = Testbed.generate (Rng.create 4242) in
   let grid =
     List.concat_map

@@ -39,20 +39,10 @@ type sweep = {
   points : sweep_point list;
 }
 
-type prof_entry = {
-  name : string;
-  events : int;
-  wall_s : float;
-  ns_per_event : float;
-  share_pct : float;
-  minor_words : float;
-  words_per_event : float;
-}
-
 type profile = {
   prof_events : int;
   prof_wall_s : float;
-  entries : prof_entry list;
+  entries : Obs.Prof.entry list;
 }
 
 type scen_flow = {
@@ -200,7 +190,16 @@ let profile_of_json j =
     let* share_pct = field "share_pct" fl e in
     let* minor_words = field "minor_words" fl e in
     let* words_per_event = field "words_per_event" fl e in
-    Ok { name; events; wall_s; ns_per_event; share_pct; minor_words; words_per_event }
+    Ok
+      {
+        Obs.Prof.name;
+        events;
+        wall_s;
+        ns_per_event;
+        share_pct;
+        minor_words;
+        words_per_event;
+      }
   in
   let* prof_events = field "events" it j in
   let* prof_wall_s = field "wall_s" fl j in
@@ -414,7 +413,7 @@ let sweep_json (sw : sweep) =
   ]
 
 let profile_json (p : profile) =
-  let entry e =
+  let entry (e : Obs.Prof.entry) =
     Obs.Json.Obj
       [
         ("name", s e.name);
@@ -557,7 +556,7 @@ let print_profile out path (p : profile) =
   pr "%-12s %10s %10s %9s %8s %12s %9s\n" "subsystem" "events" "wall_s"
     "ns/event" "share" "minor_words" "words/ev";
   List.iter
-    (fun e ->
+    (fun (e : Obs.Prof.entry) ->
       pr "%-12s %10d %10.4f %9.0f %7.1f%% %12.0f %9.1f\n" e.name e.events
         e.wall_s e.ns_per_event e.share_pct e.minor_words e.words_per_event)
     p.entries

@@ -67,20 +67,10 @@ type sweep = {
   points : sweep_point list;
 }
 
-type prof_entry = {
-  name : string;
-  events : int;
-  wall_s : float;
-  ns_per_event : float;
-  share_pct : float;
-  minor_words : float;
-  words_per_event : float;
-}
-
 type profile = {
   prof_events : int;
   prof_wall_s : float;
-  entries : prof_entry list;
+  entries : Obs.Prof.entry list;
 }
 
 type scen_flow = {

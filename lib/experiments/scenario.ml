@@ -302,11 +302,11 @@ let instance spec =
   | Residential -> Residential.generate rng
   | Enterprise -> Enterprise.generate rng
 
-let bins_of reg fid =
-  List.filter
-    (fun (t, _) -> t > warmup)
-    (Obs.Metrics.Series.points
-       (Obs.Metrics.series reg (Printf.sprintf "flow.%d.goodput" fid)))
+(* A flow's 1 s goodput bins in the measure window, from the engine's
+   own series: it has a bin for every second, including the seconds
+   in which nothing is delivered. *)
+let bins_of (result : Engine.result) fid =
+  List.filter (fun (t, _) -> t > warmup) result.Engine.flows.(fid).Engine.goodput_series
 
 let run ?trace ?flight spec =
   let inst0 = instance spec in
@@ -382,15 +382,16 @@ let run ?trace ?flight spec =
   in
   let dom = net.Empower.dom in
   let domain_of = Domain.domain dom in
-  (* Fault-free baseline: internal recorder only, no fault schedules. *)
-  let reg_b = Obs.Metrics.create () in
-  let rec_b = Obs.Recorder.create ~domain_of reg_b in
+  (* Fault-free baseline: no fault schedules. [Engine.run] attaches the
+     process-global metrics registry to a run given no sink, so the
+     baseline gets an explicit one that keeps (and ignores) only its
+     first offer: the registry sees the churn run alone, and the
+     baseline builds next to no events. *)
+  let discard = Obs.Trace.sampled ~every:max_int (Obs.Trace.of_fn ignore) in
   let result_b =
-    Engine.run ~config ~trace:(Obs.Recorder.sink rec_b) m_base net.Empower.g
-      dom ~flows:flow_specs ~duration:spec.duration
+    Engine.run ~config ~trace:discard m_base net.Empower.g dom
+      ~flows:flow_specs ~duration:spec.duration
   in
-  ignore (result_b : Engine.result);
-  Obs.Recorder.flush rec_b ~now:spec.duration;
   (* Churn run: private recorder computes the scorecard; the
      process-global registry (--metrics) and the caller's sinks still
      see every event. *)
@@ -428,7 +429,7 @@ let run ?trace ?flight spec =
     Array.of_list
       (List.mapi
          (fun fid _ ->
-           let base_bins = bins_of reg_b fid in
+           let base_bins = bins_of result_b fid in
            let baseline =
              match base_bins with
              | [] -> 0.0
@@ -436,7 +437,7 @@ let run ?trace ?flight spec =
                  List.fold_left (fun acc (_, v) -> acc +. v) 0.0 base_bins
                  /. float_of_int (List.length base_bins)
            in
-           (baseline, bins_of reg fid))
+           (baseline, bins_of result fid))
          spec.flows)
   in
   let flows =

@@ -7,8 +7,8 @@
     either embedded explicitly or drawn from {!Fault.Gen} — the
     recovery switch and an SLO. {!run} executes the scenario twice
     with identical engine seeding — once fault-free, once under
-    churn — and folds the {!Obs} record of the churn run into a
-    {!scorecard}: per-flow availability against the fault-free
+    churn — and folds both runs' goodput bins and the {!Obs} record
+    of the churn run into a {!scorecard}: per-flow availability against the fault-free
     baseline, time below SLO, recovery counters and a per-churn-event
     dip/recovery table. Scenario files live under [scenarios/] and
     are exercised by [empower_eval scenario].
@@ -25,10 +25,12 @@
 
     {2 Scorecard metric definitions}
 
-    With [W] the recorder's 1 s goodput bins of the churn run whose
-    bin-end time is in the measure window [(warmup, duration]]
-    (warmup = 2 s), and [B] the per-flow mean of the fault-free
-    run's bins over the same window:
+    With [W] the engine's 1 s goodput bins
+    ({!Engine.flow_result.goodput_series}, one per second, seconds
+    without a delivery included) of the churn run whose bin-end time
+    is in the measure window [(warmup, duration]] (warmup = 2 s), and
+    [B] the per-flow mean of the fault-free run's bins over the same
+    window:
 
     - {e availability}: fraction of bins in [W] with goodput
       [>= slo.availability_frac *. B];

@@ -21,35 +21,32 @@ type buffers = {
 }
 
 type config = {
-  frame_bytes : int;
   delta : float;
   enable_cc : bool;
   delay_equalize : bool;
-  control_period : float;
   collision_prob : float;
   route_reclaim : bool;
-  price_drain : float;
   recovery : Recovery.config option;
   buffers : buffers option;
 }
 
-(* Per-link FIFO capacity in frames (used when [config.buffers] is
-   [None]), the dual step size of (8) and the proximal gain of the
-   multipath rate update (§4.3). *)
+(* Aggregate frame payload, controller/ACK period, per-link FIFO
+   capacity in frames (used when [config.buffers] is [None]), the dual
+   step size of (8) and the proximal gain of the multipath rate update
+   (§4.3). *)
+let frame_bytes = 12000
+let control_period = 0.1
 let queue_limit = 100
 let gamma_alpha = 0.02
 let cc_gain = 50.0
 
 let default_config =
   {
-    frame_bytes = 12000;
     delta = 0.0;
     enable_cc = true;
     delay_equalize = false;
-    control_period = 0.1;
     collision_prob = 0.12;
     route_reclaim = false;
-    price_drain = 0.0;
     recovery = None;
     buffers = None;
   }
@@ -279,7 +276,7 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
   let schedule dt ev = schedule_abs (now.(0) +. dt) ev in
   (* Per-flow hot floats (see the float-array note above): TCP token
      bucket and goodput-bin accumulators, indexed by flow id. *)
-  let tokens = Array.make (max 1 n_flows) (float_of_int config.frame_bytes) in
+  let tokens = Array.make (max 1 n_flows) (float_of_int frame_bytes) in
   let tokens_at = Array.make (max 1 n_flows) 0.0 in
   let bin_start = Array.make (max 1 n_flows) 0.0 in
   let bin_bits = Array.make (max 1 n_flows) 0.0 in
@@ -522,7 +519,7 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
           let base =
             match spec.tcp_params with Some p -> p | None -> Tcp.default_params
           in
-          let params = { base with Tcp.segment_bytes = config.frame_bytes } in
+          let params = { base with Tcp.segment_bytes = frame_bytes } in
           Some (Tcp.create ~params ~total_bytes:(Workload.total_bytes spec.workload) ()));
       goodput_rev = [];
       rates_rev = [];
@@ -596,10 +593,10 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
          capacity in frames, not the (bypassed) legacy limit. *)
       match config.buffers with
       | None -> queue_limit
-      | Some b -> max queue_limit ((b.pool_bytes / max 1 config.frame_bytes) + 1)
+      | Some b -> max queue_limit ((b.pool_bytes / frame_bytes) + 1)
     in
     Invariants.configure t ~n_links ~queue_limit:inv_queue_limit
-      ~frame_bytes:config.frame_bytes ~control_period:config.control_period;
+      ~frame_bytes ~control_period;
     Array.iter
       (fun f ->
         let pacing =
@@ -962,7 +959,7 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
         schedule 0.2 (Arena.inject f.id)
       end
       else begin
-        let dt = 8.0 *. float_of_int config.frame_bytes /. (rate *. 1e6) in
+        let dt = 8.0 *. float_of_int frame_bytes /. (rate *. 1e6) in
         let dt =
           if poisson_paced f then Rng.exponential rng ~rate:(1.0 /. dt) else dt
         in
@@ -978,9 +975,9 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
          (the application resends what was lost) until the receiver
          holds the full file, so MAC losses cost time, not data. *)
       if rate >= 0.05 && f.received_bytes < sendable_bytes f then begin
-        inject_frame f ~bytes:config.frame_bytes ~seq:(f.next_seq land 0xFFFFFFFF);
+        inject_frame f ~bytes:frame_bytes ~seq:(f.next_seq land 0xFFFFFFFF);
         f.next_seq <- f.next_seq + 1;
-        f.sent_bytes <- f.sent_bytes + config.frame_bytes
+        f.sent_bytes <- f.sent_bytes + frame_bytes
       end;
       schedule_inject f
     end
@@ -993,7 +990,7 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
        average rate respects the allocation. *)
     let depth =
       Float.max
-        (8.0 *. float_of_int config.frame_bytes)
+        (8.0 *. float_of_int frame_bytes)
         (rate *. 1e6 /. 8.0 *. 0.25)
     in
     tokens.(f.id) <-
@@ -1024,7 +1021,7 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
           if not config.enable_cc then true
           else begin
             refill_tokens f;
-            tokens.(f.id) >= float_of_int config.frame_bytes
+            tokens.(f.id) >= float_of_int frame_bytes
           end
         in
         if not tokens_ok then begin
@@ -1033,7 +1030,7 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
             let wait =
               if rate < 0.05 then 0.2
               else
-                (float_of_int config.frame_bytes -. tokens.(f.id))
+                (float_of_int frame_bytes -. tokens.(f.id))
                 *. 8.0 /. (rate *. 1e6)
             in
             f.inject_scheduled <- true;
@@ -1047,14 +1044,14 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
             | Some _ ->
               (* ceil: the final partial segment is sendable *)
               Some
-                ((sendable_bytes f + config.frame_bytes - 1) / config.frame_bytes)
+                ((sendable_bytes f + frame_bytes - 1) / frame_bytes)
           in
           match Tcp.take_segment ?new_data_limit tcp ~now:now.(0) with
           | None -> ()
           | Some seq ->
             if config.enable_cc then
-              tokens.(f.id) <- tokens.(f.id) -. float_of_int config.frame_bytes;
-            inject_frame f ~bytes:config.frame_bytes ~seq;
+              tokens.(f.id) <- tokens.(f.id) -. float_of_int frame_bytes;
+            inject_frame f ~bytes:frame_bytes ~seq;
             tcp_try_send f
         end
       end);
@@ -1316,7 +1313,7 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
             match
               Recovery.Detector.observe det ~route:i ~now:now.(0) ~injected
                 ~acked:(float_of_int r.Ack.bytes)
-                ~frame_bytes:(float_of_int config.frame_bytes)
+                ~frame_bytes:(float_of_int frame_bytes)
             with
             | Recovery.Detector.Down { since } ->
               on_route_dead f i ~since det rrng
@@ -1337,7 +1334,7 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
                broken and backed off multiplicatively; the stale q_r it
                last reported would otherwise keep it attractive. *)
             if
-              f.injected_window.(i) > 2.0 *. float_of_int config.frame_bytes
+              f.injected_window.(i) > 2.0 *. float_of_int frame_bytes
               && r.Ack.bytes = 0
             then f.dead_acks.(i) <- f.dead_acks.(i) + 1
             else if r.Ack.bytes > 0 then f.dead_acks.(i) <- 0;
@@ -1379,18 +1376,15 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
     end
   in
   let demand = Price.Dual.demand dual in
-  let tick_drain = config.price_drain *. config.control_period in
   let handle_control_tick () =
-    (* 1. Demand measurement and the dual update (8). The optional
-       drain is per second of simulated time, so a tick leaks
-       [price_drain * control_period]. *)
+    (* 1. Demand measurement and the dual update (8). *)
     for c = 0 to Array.length carrier_links - 1 do
       let l = carrier_links.(c) in
       let bits = window_bits.(l) in
       window_bits.(l) <- 0.0;
-      demand.(c) <- bits /. 1e6 *. d_est l /. config.control_period
+      demand.(c) <- bits /. 1e6 *. d_est l /. control_period
     done;
-    Price.Dual.step dual ~alpha:gamma_alpha ~drain:tick_drain;
+    Price.Dual.step dual ~alpha:gamma_alpha;
     if em_on then
       Obs.Emit.price em ~links:(Price.Dual.priced dual) ~gamma ~price:link_price;
     (* 2. Capacity estimation (only carriers are ever priced or
@@ -1428,7 +1422,7 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
     (match inv with
     | Some t -> Invariants.on_tick t ~now:now.(0) (Lazy.force inv_view)
     | None -> ());
-    schedule config.control_period Arena.control_tick
+    schedule control_period Arena.control_tick
   in
 
   (* --- event dispatch --- *)
@@ -1574,10 +1568,10 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
         (* One frame down the dead route; its delivery (and the ack
            that reports it) is what flips the detector back to alive.
            The next probe backs off exponentially up to the cap. *)
-        inject_frame ~route:i f ~bytes:config.frame_bytes
+        inject_frame ~route:i f ~bytes:frame_bytes
           ~seq:(f.next_seq land 0xFFFFFFFF);
         f.next_seq <- f.next_seq + 1;
-        f.sent_bytes <- f.sent_bytes + config.frame_bytes;
+        f.sent_bytes <- f.sent_bytes + frame_bytes;
         if em_on then
           Obs.Emit.route_probe em ~flow:fid ~route:i
             ~attempt:f.reclaim_attempt.(i);
@@ -1614,7 +1608,7 @@ let run ?(config = default_config) ?invariants ?trace ?flight ?prof
       | Some t -> Wheel.push q t (Arena.flow_stop f.id)
       | None -> ())
     flow_states;
-  Wheel.push q config.control_period Arena.control_tick;
+  Wheel.push q control_period Arena.control_tick;
   List.iter
     (fun (t, l, c) ->
       if t < 0.0 || l < 0 || l >= n_links then

@@ -56,7 +56,7 @@ type flow_spec = {
       (** TCP sender parameters for [Tcp_transport] flows ([None] =
           {!Tcp.default_params}, the historical Reno sender; e.g.
           {!Tcp.dctcp_params} for a DCTCP-style ECN-reacting sender).
-          [segment_bytes] is always overridden by [config.frame_bytes].
+          [segment_bytes] is always overridden by {!frame_bytes}.
           Ignored for [Udp] flows. *)
   start_time : float;          (** when the flow begins *)
   stop_time : float option;    (** when the flow is switched off *)
@@ -86,11 +86,9 @@ type buffers = {
 }
 
 type config = {
-  frame_bytes : int;        (** aggregate frame payload (default 12000) *)
   delta : float;            (** constraint margin δ (default 0) *)
   enable_cc : bool;         (** false: inject at [init_rates] forever *)
   delay_equalize : bool;    (** destination-side delay equalization *)
-  control_period : float;   (** controller/ACK period (default 0.1 s) *)
   collision_prob : float;
       (** CSMA/CA contention losses: a transmission starting while [m]
           other stations of its collision domain are backlogged
@@ -109,16 +107,6 @@ type config = {
           failed route stays abandoned even after repair). Ignored on
           UDP flows when [recovery] is set (the detector-driven probes
           replace the fixed floor). *)
-  price_drain : float;
-      (** Per-second dual leak applied at every control tick before
-          the positive projection:
-          [γ_l ← [γ_l + α (y_l - (1-δ)) - price_drain·T]+]. Without
-          it a stale price decays only at α·(1-δ) per tick — about
-          0.03/s with the defaults, the hysteresis that dominated
-          full-severance recovery before the recovery subsystem.
-          Default 0 (the paper's exact update, bit-identical to the
-          historical behaviour); {!Multi_cc.solve} exposes the same
-          knob per slot as [price_drain]. *)
   recovery : Recovery.config option;
       (** Self-healing control plane (default [None] — no behaviour
           or randomness change whatsoever). When set, each UDP flow
@@ -127,7 +115,7 @@ type config = {
           windows, or outstanding frames older than [hello_timeout],
           is declared dead on the spot — its rate state is zeroed,
           the stale γ of its unusable links is reset (instead of
-          draining), the lost rate mass moves to the routes that
+          decaying), the lost rate mass moves to the routes that
           survive an LSDB re-discovery ({!Recovery.survivors}), and
           reclaim probes are scheduled with exponential backoff, cap
           and seeded jitter ({!Recovery.Backoff}) — replacing the
@@ -151,6 +139,12 @@ type config = {
 }
 
 val default_config : config
+
+val frame_bytes : int
+(** Aggregate frame payload in bytes (12000). *)
+
+val control_period : float
+(** Controller/ACK period in seconds (0.1). *)
 
 val queue_limit : int
 (** Per-link FIFO capacity in frames when [config.buffers] is [None]

@@ -209,8 +209,7 @@ let prop_allocation_deterministic =
       let net = { Empower.g = c.Prop_gen.g; dom = c.Prop_gen.dom } in
       let alloc () =
         let a =
-          Empower.allocate ~slots:400 net
-            ~flows:[ (c.Prop_gen.src, c.Prop_gen.dst) ]
+          Empower.allocate net ~flows:[ (c.Prop_gen.src, c.Prop_gen.dst) ]
         in
         (a.Empower.flow_rates, a.Empower.route_rates, a.Empower.cc.Cc_result.rates)
       in
@@ -524,7 +523,7 @@ let prop_buffer_pool_bounded =
       match Prop_gen.saturated_flow_of_case c with
       | None -> true
       | Some (_, flow) ->
-        let fb = Engine.default_config.Engine.frame_bytes in
+        let fb = Engine.frame_bytes in
         let pool_bytes = (2 + pf) * fb in
         let config =
           buffered_config ~ecn:(pool_bytes / 2) ~policy:(policy_of_index pi)
@@ -586,7 +585,7 @@ let prop_no_marks_below_threshold =
       match Prop_gen.saturated_flow_of_case c with
       | None -> true
       | Some (_, flow) ->
-        let fb = Engine.default_config.Engine.frame_bytes in
+        let fb = Engine.frame_bytes in
         let pool_bytes = 6 * fb in
         let config =
           buffered_config ~ecn:(pool_bytes + fb) ~policy:(policy_of_index pi)
@@ -618,7 +617,7 @@ let prop_buffered_deterministic =
       match Prop_gen.saturated_flow_of_case c with
       | None -> true
       | Some (_, flow) ->
-        let fb = Engine.default_config.Engine.frame_bytes in
+        let fb = Engine.frame_bytes in
         let config =
           buffered_config ~ecn:(2 * fb) ~policy:(policy_of_index pi)
             ~pool_bytes:(4 * fb) ()
@@ -645,7 +644,7 @@ let prop_huge_pool_matches_legacy =
       match Prop_gen.saturated_flow_of_case c with
       | None -> true
       | Some (_, flow) ->
-        let fb = Engine.default_config.Engine.frame_bytes in
+        let fb = Engine.frame_bytes in
         (* A pool big enough that admission never rejects (every link
            would have to hold a full legacy FIFO to fill it), no ECN.
            Buffer accounting consumes no randomness, so whenever the

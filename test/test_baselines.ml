@@ -83,14 +83,6 @@ let test_lp_unreachable () =
   check_float "no path" 0.0
     (Opt_solver.max_throughput Rate_region.Exact g dom ~src:0 ~dst:2)
 
-let test_lp_delta_scales () =
-  let g, dom = fig1 () in
-  let full = Opt_solver.max_throughput Rate_region.Exact g dom ~src:0 ~dst:2 in
-  let margin =
-    Opt_solver.max_throughput ~delta:0.3 Rate_region.Exact g dom ~src:0 ~dst:2
-  in
-  check_float ~eps:1e-4 "scaled by 1-delta" (0.7 *. full) margin
-
 let test_conservative_below_exact () =
   (* A chain where I_l neighborhoods are larger than cliques:
      conservative must not exceed exact. Five-hop chain with
@@ -295,7 +287,6 @@ let () =
           Alcotest.test_case "figure-1 optimum" `Quick test_lp_fig1_optimal;
           Alcotest.test_case "single link" `Quick test_lp_single_link;
           Alcotest.test_case "unreachable" `Quick test_lp_unreachable;
-          Alcotest.test_case "delta scaling" `Quick test_lp_delta_scales;
           Alcotest.test_case "conservative <= exact" `Quick
             test_conservative_below_exact;
           Alcotest.test_case "utility fair split" `Quick test_max_utility_fair_split;

@@ -54,12 +54,6 @@ let test_allocate_unreachable_flow () =
   Alcotest.(check int) "empty plan" 0
     (List.length alloc.Empower.plans.(0).Empower.combination.Multipath.paths)
 
-let test_allocate_delta () =
-  let net = fig1_net () in
-  let alloc = Empower.allocate ~delta:0.3 net ~flows:[ (0, 2) ] in
-  Alcotest.(check bool) "margin respected" true
-    (alloc.Empower.flow_rates.(0) < 13.0)
-
 let test_flow_specs_and_simulate () =
   let net = fig1_net () in
   let alloc = Empower.allocate net ~flows:[ (0, 2) ] in
@@ -121,7 +115,6 @@ let () =
           Alcotest.test_case "allocate multi-flow" `Quick test_allocate_multi_flow;
           Alcotest.test_case "allocate unreachable" `Quick
             test_allocate_unreachable_flow;
-          Alcotest.test_case "allocate with delta" `Quick test_allocate_delta;
           Alcotest.test_case "specs + simulate" `Quick test_flow_specs_and_simulate;
           Alcotest.test_case "specs skip unreachable" `Quick
             test_flow_specs_skip_unreachable;

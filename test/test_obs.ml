@@ -708,7 +708,7 @@ let loss_run ?flight sink =
 (* A shared buffer pool small enough to reject and CE-mark frames. *)
 let ecn_run ?flight sink =
   let g, dom, flow = one_link_net 5.0 in
-  let fb = Engine.default_config.Engine.frame_bytes in
+  let fb = Engine.frame_bytes in
   let config =
     {
       Engine.default_config with

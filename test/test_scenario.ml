@@ -150,16 +150,17 @@ let test_decode_ok () =
     Alcotest.(check int) "topology seed" 4242 spec.Scenario.topology_seed
   | Error e -> Alcotest.failf "base document must decode: %s" e
 
-(* Replace the first occurrence of [pat] in the base document. *)
-let patch pat repl =
-  let n = String.length base_doc and m = String.length pat in
+(* Replace the first occurrence of [pat] in [doc] (default: the base
+   document). *)
+let patch ?(doc = base_doc) pat repl =
+  let n = String.length doc and m = String.length pat in
   let rec find i =
-    if i + m > n then Alcotest.failf "patch: %S not in base document" pat
-    else if String.sub base_doc i m = pat then i
+    if i + m > n then Alcotest.failf "patch: %S not in document" pat
+    else if String.sub doc i m = pat then i
     else find (i + 1)
   in
   let i = find 0 in
-  String.sub base_doc 0 i ^ repl ^ String.sub base_doc (i + m) (n - i - m)
+  String.sub doc 0 i ^ repl ^ String.sub doc (i + m) (n - i - m)
 
 let test_decode_rejects () =
   reject "wrong version" (patch {|"version": 1|} {|"version": 2|});
@@ -208,6 +209,54 @@ let test_relay_endpoint_rejected () =
     | exception Invalid_argument _ -> ()
     | _ -> Alcotest.fail "expected Invalid_argument for a relay source")
 
+(* ---------- scoring ---------- *)
+
+(* A total outage is scored: the flow's destination crashes at 6 s and
+   restarts at 12 s. The seconds in which it delivers nothing are
+   unavailable bins, so all 18 one-second bins of the (2 s, 20 s]
+   window count: 4 meet the SLO before the crash and none after it
+   (recovery is off, so the flow stays down). *)
+let test_outage_seconds_scored () =
+  let doc =
+    List.fold_left
+      (fun doc (pat, repl) -> patch ~doc pat repl)
+      base_doc
+      [
+        ({|"seed": 1, "duration": 5.0|}, {|"seed": 5, "duration": 20.0|});
+        ( {|{ "generate": { "intensity": "light" } }|},
+          {|{ "plan": { "version": 2, "actions": [
+               { "op": "node_crash", "at": 6.0, "node": 12 },
+               { "op": "node_restart", "at": 12.0, "node": 12 } ] } }|} );
+        ({|"min_availability": 0.5|}, {|"min_availability": 0.6|});
+      ]
+  in
+  match Scenario.spec_of_json (parse doc) with
+  | Error e -> Alcotest.failf "outage spec must decode: %s" e
+  | Ok spec -> (
+    match (Scenario.run spec).Scenario.flows with
+    | [ f ] ->
+      Alcotest.(check (float 1e-12)) "availability" (4.0 /. 18.0) f.Scenario.availability;
+      Alcotest.(check (float 1e-12)) "below SLO" 14.0 f.Scenario.below_slo_s
+    | _ -> Alcotest.fail "expected one flow score")
+
+(* The process-global metrics registry (--metrics) observes the churn
+   run only, not the internal fault-free baseline: the controller
+   records one price point per 100 ms tick, so a 5 s scenario leaves at
+   most 50 of them. *)
+let test_metrics_registry_sees_churn_run_only () =
+  match Scenario.spec_of_json (parse base_doc) with
+  | Error e -> Alcotest.failf "base document must decode: %s" e
+  | Ok spec ->
+    let reg = Obs.Runtime.install_metrics () in
+    Fun.protect ~finally:Obs.Runtime.clear (fun () ->
+        ignore (Scenario.run spec : Scenario.scorecard);
+        let n =
+          List.length
+            (Obs.Metrics.Series.points (Obs.Metrics.series reg "ctrl.price_delta"))
+        in
+        if n = 0 || n > 50 then
+          Alcotest.failf "registry holds %d price points for one 5 s run" n)
+
 let () =
   let golden name = ("golden " ^ name, `Slow, replay_golden name) in
   Alcotest.run "scenario"
@@ -230,6 +279,12 @@ let () =
         [
           ("bit reproducible", `Slow, test_bit_reproducible);
           ("run_all jobs identical", `Slow, test_run_all_jobs_identical);
+        ] );
+      ( "scoring",
+        [
+          ("outage seconds scored", `Quick, test_outage_seconds_scored);
+          ("metrics registry sees the churn run only", `Quick,
+            test_metrics_registry_sees_churn_run_only);
         ] );
       ( "decode",
         [

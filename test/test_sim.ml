@@ -675,7 +675,7 @@ let test_buffer_pool_admission () =
      Ecn_mark trace events. *)
   let g = Multigraph.create ~n_nodes:2 ~n_techs:1 ~edges:[ (0, 1, 0, 5.0) ] in
   let dom = Domain.single_domain_per_tech g in
-  let fb = Engine.default_config.Engine.frame_bytes in
+  let fb = Engine.frame_bytes in
   let pool = 4 * fb in
   let config =
     {
@@ -725,7 +725,7 @@ let test_static_stricter_than_dt () =
       ~edges:[ (0, 1, 0, 5.0); (0, 2, 0, 5.0) ]
   in
   let dom = Domain.single_domain_per_tech g in
-  let fb = Engine.default_config.Engine.frame_bytes in
+  let fb = Engine.frame_bytes in
   let run policy =
     let config =
       {
@@ -912,7 +912,7 @@ let test_invariants_fig7_scenario () =
 
 let test_invariants_table1_scenario () =
   (* The table-1 setting: a TCP file download on the testbed graph
-     with delay equalization, driven through the library facade. *)
+     with delay equalization. *)
   let inst = Testbed.generate (Rng.create 4242) in
   let net = Runner.network inst Schemes.Empower in
   let src = Testbed.node 6 and dst = Testbed.node 13 in
@@ -926,8 +926,8 @@ let test_invariants_table1_scenario () =
   let config = { Engine.default_config with delay_equalize = true } in
   let inv = Invariants.create ~mode:`Collect () in
   ignore
-    (Empower.simulate ~config ~invariants:inv ~seed:4243 net ~flows:[ spec ]
-       ~duration:30.0);
+    (Engine.run ~config ~invariants:inv (Rng.create 4243) net.Empower.g
+       net.Empower.dom ~flows:[ spec ] ~duration:30.0);
   assert_clean "table1" inv
 
 (* Negative tests: drive the checker's hooks directly with deliberate
